@@ -8,12 +8,11 @@
  *
  * Under the old lock-striped intake every producer serialized on its
  * shard mutex, so producer scaling flattened immediately; the
- * lock-free path's exit proof is the producer sweep staying near
- * linear (efficiency >= 0.7x at 4 producers) — on hosts with enough
- * cores to run the producers concurrently at all. On fewer cores the
- * sweep documents the host ceiling instead: producers time-slice one
- * another and efficiency degrades as 1/p by construction, which the
- * report calls out rather than hiding.
+ * lock-free path's target is the producer sweep staying near linear
+ * (efficiency >= 0.70). The target applies to every point whose
+ * producers plus drain workers fit on the host's CPUs; points past
+ * that ceiling time-slice, and the report says so instead of
+ * checking them.
  *
  * The recorded single-producer baseline from the lock-striped
  * implementation (BENCH_streaming.json / EXPERIMENTS.md: streaming
@@ -40,6 +39,8 @@ namespace
 
 /** Recorded lock-striped baseline (see the file comment). */
 constexpr double kLockStripedSingleProducerSpeedup = 1.21;
+/** Scaling efficiency every point that fits the host must reach. */
+constexpr double kEfficiencyTarget = 0.70;
 
 void
 bumpCounter(void *counter, void *)
@@ -145,15 +146,14 @@ main(int argc, char **argv)
                      "efficiency"});
     harness::JsonReport report;
     double t1 = 0.0;
-    double effAtFour = -1.0;
+    std::vector<double> efficiencies;
     for (const unsigned p : sweep) {
         const double t = sweepPoint(p);
         if (p == 1)
             t1 = t;
         const double speedup = t1 / t;
         const double efficiency = speedup / p;
-        if (p == 4)
-            effAtFour = efficiency;
+        efficiencies.push_back(efficiency);
         table.addRow({std::to_string(p), TextTable::num(t, 6),
                       TextTable::num(threads / t, 0),
                       TextTable::num(speedup, 2) + "x",
@@ -165,23 +165,27 @@ main(int argc, char **argv)
     }
     std::printf("\n%s\n", table.toText().c_str());
 
-    // The producers need their own cores (plus one for the drain) for
-    // linear admission scaling to be physically possible.
-    const bool hostCanScale = hostCpus >= maxProducers + workers;
+    // Linear scaling needs a CPU for every producer and drain worker:
+    // each point that fits is held to the target.
     std::printf("shape checks:\n");
     std::printf("  every run conserved its threads: %s\n",
                 conserved ? "yes" : "NO");
-    if (effAtFour >= 0 && hostCanScale) {
-        std::printf("  efficiency at 4 producers: %.2f (target "
-                    ">= 0.70)\n",
-                    effAtFour);
-    } else if (effAtFour >= 0) {
-        std::printf("  efficiency at 4 producers: %.2f — host "
-                    "core-count ceiling: %u CPU(s) for %u producers "
-                    "+ %u worker(s); producers time-slice, so "
-                    "efficiency degrades as 1/p regardless of the "
-                    "admission path\n",
-                    effAtFour, hostCpus, maxProducers, workers);
+    for (std::size_t i = 1; i < sweep.size(); ++i) {
+        const unsigned p = sweep[i];
+        const std::string key = "scale.p" + std::to_string(p);
+        if (p + workers <= hostCpus) {
+            const bool met = efficiencies[i] >= kEfficiencyTarget;
+            std::printf("  efficiency at %u producers: %.2f (target "
+                        ">= %.2f): %s\n",
+                        p, efficiencies[i], kEfficiencyTarget,
+                        met ? "met" : "NOT met");
+            report.addValue(key + ".target_met", met ? 1 : 0);
+        } else {
+            std::printf("  efficiency at %u producers: %.2f (no "
+                        "target: %u producers + %u worker(s) exceed "
+                        "%u CPU(s))\n",
+                        p, efficiencies[i], p, workers, hostCpus);
+        }
     }
     std::printf("  recorded lock-striped baseline (BENCH_streaming):"
                 " single-producer streaming vs barrier %.2fx\n",

@@ -130,8 +130,8 @@ typedef struct th_stats_t
      *  bins producers drained inline instead of blocking. */
     unsigned long long stream_backpressure_waits;
     unsigned long long stream_inline_drains;
-    /** Live stream backlog (admitted, not yet executed) and the
-     *  highest backlog observed. */
+    /** Live stream backlog (tickets not yet retired, gate waiters
+     *  included) and the highest admitted backlog. */
     unsigned long long stream_backlog;
     unsigned long long stream_peak_backlog;
     /** Recovery layer (threads/recovery.hh): deadline expiries and

@@ -98,11 +98,9 @@ struct alignas(64) StreamBin
      * install) and sealers (exchange) contend on.
      */
     std::atomic<std::uint64_t> tail{0};
-    /** Threads admitted to the current epoch (threshold sealing). */
-    std::atomic<std::uint64_t> epochThreads{0};
     /** Seal epochs this bin has gone through. */
     std::atomic<std::uint32_t> epochs{0};
-    /** Threads admitted across all epochs (final report). */
+    /** Threads sealed across all epochs (report; added per seal). */
     std::atomic<std::uint64_t> totalThreads{0};
     /** Spare-stack successor index (+1; 0 = end). */
     std::atomic<std::uint32_t> spareNext{0};
@@ -122,8 +120,9 @@ struct SealedChain
 /**
  * Admit one thread spec into @p bin. Lock-free; any number of callers
  * may append to the same bin concurrently with each other and with
- * sealStreamBin(). Returns the bin's epoch thread count *including*
- * this spec, the threshold-seal trigger.
+ * sealStreamBin(). Returns the spec's 1-based position in the bin's
+ * current epoch (the threshold-seal trigger): the reserved slot plus
+ * the group's epochBase, so counting costs no extra write.
  *
  * Slot reservation is a CAS on the tail group's claim word whose
  * expected value carries the life generation named by the bin's tail
@@ -135,19 +134,15 @@ struct SealedChain
  * capacity, so every reservation is matched by exactly one ready
  * publication the sealer can wait on.
  *
- * The epoch/total counters are bumped *before* the spec is published
- * (and rolled back if the group allocation throws): a sealer that
- * captures the spec has, through the publication's release/acquire
- * edge, already seen the bumps, so its fetch_sub of the sealed count
- * can never transiently underflow the counter.
+ * A fresh group's epochBase is its predecessor's base plus capacity:
+ * the install CAS succeeds only while the predecessor is the tail, and
+ * an unsealed tail a producer diverts from is full. (Bases wrap past
+ * 2^32 threads in one unsealed epoch.)
  */
 inline std::uint64_t
 appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
                  ThreadFn fn, void *arg1, void *arg2)
 {
-    const std::uint64_t epochCount =
-        bin.epochThreads.fetch_add(1, std::memory_order_relaxed) + 1;
-    bin.totalThreads.fetch_add(1, std::memory_order_relaxed);
     ThreadGroup *fresh = nullptr;
     for (;;) {
         const std::uint64_t t =
@@ -173,7 +168,9 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
                     g->ready.fetch_add(1, std::memory_order_release);
                     if (fresh)
                         pool.recycleChain(fresh);
-                    return epochCount;
+                    return std::uint64_t{g->epochBase.load(
+                               std::memory_order_relaxed)} +
+                           used + 1;
                 }
             }
             if (!divert) {
@@ -184,18 +181,7 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
             }
         }
         if (!fresh) {
-            try {
-                fresh = pool.allocate();
-            } catch (...) {
-                // Roll the speculative bumps back: a failed admission
-                // must not leave a phantom thread inflating the bin's
-                // report or keeping force-seal sweeps rescanning it.
-                bin.epochThreads.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                bin.totalThreads.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                throw;
-            }
+            fresh = pool.allocate();
             // allocate() stamped the new life's generation; keep it
             // and pre-publish one reserved, ready slot.
             fresh->specs[0] = {fn, arg1, arg2};
@@ -206,17 +192,22 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
                 std::memory_order_relaxed);
             fresh->ready.store(1, std::memory_order_relaxed);
         }
+        const std::uint32_t base =
+            g ? g->epochBase.load(std::memory_order_relaxed) +
+                    g->capacity
+              : 0;
+        fresh->epochBase.store(base, std::memory_order_relaxed);
         fresh->prev = g;
         const std::uint64_t freshWord =
             (fresh->claim.load(std::memory_order_relaxed) &
              ~std::uint64_t{0xffffffffu}) |
             (fresh->poolIndex + 1);
         std::uint64_t expected = t;
-        // Success publishes the spec and counters via the CAS release.
+        // Success publishes the spec and base via the CAS release.
         if (bin.tail.compare_exchange_strong(expected, freshWord,
                                              std::memory_order_acq_rel,
                                              std::memory_order_relaxed))
-            return epochCount;
+            return std::uint64_t{base} + 1;
         // Lost to another append or a seal: retry against the new
         // tail, reusing the speculative group.
     }
@@ -263,8 +254,7 @@ sealStreamBin(StreamBin &bin, ConcurrentGroupPool &pool)
     chain.head = head;
     chain.epoch =
         bin.epochs.fetch_add(1, std::memory_order_relaxed) + 1;
-    bin.epochThreads.fetch_sub(chain.threads,
-                               std::memory_order_relaxed);
+    bin.totalThreads.fetch_add(chain.threads, std::memory_order_relaxed);
     return chain;
 }
 

@@ -115,16 +115,14 @@ StreamSession::shardOf(std::uint64_t hash) const
     return static_cast<unsigned>((hash >> 48) % shards_.size());
 }
 
-void
-StreamSession::notePending()
+std::uint64_t
+StreamSession::backlog() const
 {
-    const std::uint64_t now =
-        pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now,
-                                        std::memory_order_relaxed))
-        ;
+    // Retirements first: the acquire makes every ticket behind them
+    // visible, so the difference never underflows on a live read.
+    const std::uint64_t retired =
+        retiredThreads_.load(std::memory_order_acquire);
+    return tickets_.load(std::memory_order_relaxed) - retired;
 }
 
 void
@@ -135,28 +133,42 @@ StreamSession::admitThread()
     // producers automatically absorb any overshoot they caused.
     const std::uint64_t ticket =
         tickets_.fetch_add(1, std::memory_order_relaxed);
-    if (!maxPending_ || t_inInlineDrain) {
-        notePending();
-        return;
-    }
+    // The gate: this ticket fits under the bound once the drain has
+    // retired enough threads. Tickets pass in FIFO order and the
+    // admitted-unretired backlog can never exceed the bound.
+    std::uint64_t retired =
+        retiredThreads_.load(std::memory_order_acquire);
+    if (maxPending_ && !t_inInlineDrain &&
+        ticket >= retired + maxPending_)
+        retired = waitAtGate(ticket);
+    // The backlog this admission joins, from the gate's operands;
+    // peak_ is written only when that raises it.
+    const std::uint64_t now = ticket < retired ? 0 : ticket + 1 - retired;
+    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
+    while (now > peak &&
+           !peak_.compare_exchange_weak(peak, now,
+                                        std::memory_order_relaxed))
+        ;
+}
+
+std::uint64_t
+StreamSession::waitAtGate(std::uint64_t ticket)
+{
     unsigned noProgress = 0;
     std::uint64_t waitUs = kBackoffBaseUs;
-    Prng jitter(0x5bd1e995u +
-                jitterSeed_.fetch_add(1, std::memory_order_relaxed));
+    // Seeded per ticket: independent jitter, no shared seed counter.
+    Prng jitter(0x5bd1e995u + ticket);
     for (;;) {
+        const std::uint64_t retired =
+            retiredThreads_.load(std::memory_order_acquire);
+        if (ticket < retired + maxPending_)
+            return retired;
         if (fault_.stopRequested()) {
             // Stopping: drainers are discarding, so holding producers
             // at the gate could wait on progress that never comes.
-            break;
+            return retired;
         }
-        // The gate: this ticket fits under the bound once the drain
-        // has retired enough threads. Tickets pass in FIFO order and
-        // the admitted-unretired backlog can never exceed the bound.
-        if (ticket < retiredThreads_.load(std::memory_order_acquire) +
-                         maxPending_)
-            break;
-        LSCHED_TRACE_EVENT(obs::EventType::Backpressure,
-                           pending_.load(std::memory_order_relaxed),
+        LSCHED_TRACE_EVENT(obs::EventType::Backpressure, backlog(),
                            maxPending_);
         if (obs::metricsOn())
             detail::schedInstruments().streamBackpressure->add();
@@ -171,7 +183,7 @@ StreamSession::admitThread()
             // Load shedding: a degraded session never blocks its
             // producers — admission overshoots the bound (soft) and
             // the governor's force-seals keep the drain fed.
-            break;
+            return retired;
         }
         // The backlog is entirely in flight on the drain workers: back
         // off with a timed, jittered exponential sleep instead of the
@@ -179,14 +191,12 @@ StreamSession::admitThread()
         // as a diagnosable timeout rather than a hang — and no lock is
         // shared with the admission fast path.
         bpWaits_.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t retiredBefore =
-            retiredThreads_.load(std::memory_order_relaxed);
         const std::uint64_t sleepUs =
             waitUs / 2 + jitter.nextBelow(waitUs / 2 + 1);
         std::this_thread::sleep_for(
             std::chrono::microseconds(sleepUs));
         if (retiredThreads_.load(std::memory_order_relaxed) !=
-            retiredBefore) {
+            retired) {
             // The drain moved; reset the retry budget and the backoff.
             noProgress = 0;
             waitUs = kBackoffBaseUs;
@@ -208,17 +218,17 @@ StreamSession::admitThread()
                 detail::schedInstruments()
                     .recoverAdmissionTimeouts->add();
             }
-            const std::uint64_t cur =
-                pending_.load(std::memory_order_relaxed);
+            const std::uint64_t cur = backlog();
             LSCHED_TRACE_EVENT(obs::EventType::AdmissionTimeout, cur,
                                maxPending_, noProgress);
-            // The ticket this admission took never retires on its
-            // own; refund it so the gate stays consistent.
+            // This ticket never retires on its own: refund it so the
+            // gate stays consistent (release pairs with stats()).
             retiredThreads_.fetch_add(1, std::memory_order_release);
+            refunds_.fetch_add(1, std::memory_order_release);
             throw AdmissionTimeout(lsched::detail::concatMessage(
                 "stream admission timed out after ", noProgress,
                 " no-progress backoff round(s): ", cur,
-                " thread(s) pending at bound ", maxPending_));
+                " thread(s) backlogged at bound ", maxPending_));
         }
         if (!admitRetries_ && noProgress % kStallWarnPeriod == 0) {
             LSCHED_WARN("stream admission stalled: ", noProgress,
@@ -227,7 +237,6 @@ StreamSession::admitThread()
         }
         waitUs = std::min(waitUs * 2, kBackoffCapUs);
     }
-    notePending();
 }
 
 bool
@@ -249,17 +258,17 @@ StreamSession::tryHelp()
     return forceSealOne();
 }
 
-detail::SealedBin
-StreamSession::makeItem(const StreamBin &bin,
-                        const SealedChain &chain) const
+bool
+StreamSession::seal(StreamBin &bin, detail::SealedBin &out)
 {
-    detail::SealedBin s;
-    s.binId = bin.id;
-    s.epoch = chain.epoch;
-    s.superBin = bin.superBin;
-    s.threads = chain.threads;
-    s.groups = chain.head;
-    return s;
+    // The load skips an empty bin without writing its line.
+    if (!bin.tail.load(std::memory_order_relaxed))
+        return false;
+    const SealedChain chain = sealStreamBin(bin, groupPool_);
+    if (!chain.head)
+        return false; // a racing sealer beat us to it
+    out = {bin.id, chain.epoch, bin.superBin, chain.threads, chain.head};
+    return true;
 }
 
 void
@@ -304,15 +313,12 @@ StreamSession::forceSealOne()
         const std::size_t bins = table.binCount();
         for (std::size_t b = 0; b < bins; ++b) {
             StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue; // a racing sealer beat us to it
-            enqueue(makeItem(*bin, chain));
-            return true;
+            detail::SealedBin item;
+            // A null bin: segment install still in flight.
+            if (bin && seal(*bin, item)) {
+                enqueue(item);
+                return true;
+            }
         }
     }
     return false;
@@ -347,22 +353,16 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
         binId = bin->id;
         const std::uint64_t epochCount =
             appendStreamSpec(*bin, groupPool_, fn, arg1, arg2);
-        if (sealThreshold_ && epochCount >= sealThreshold_) {
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (chain.head) {
-                sealed = makeItem(*bin, chain);
-                doSeal = true;
-            }
-        }
+        doSeal = sealThreshold_ && epochCount >= sealThreshold_ &&
+                 seal(*bin, sealed);
     } catch (...) {
         // The admission slot was reserved up front; hand it back so an
         // allocation failure cannot wedge the gate or the backlog.
-        pending_.fetch_sub(1, std::memory_order_relaxed);
         retiredThreads_.fetch_add(1, std::memory_order_release);
+        refunds_.fetch_add(1, std::memory_order_release);
         throw;
     }
 
-    forked_.fetch_add(1, std::memory_order_relaxed);
     if (obs::anyOn()) [[unlikely]] {
         if (obs::metricsOn()) {
             const detail::SchedInstruments &ins =
@@ -418,8 +418,6 @@ void
 StreamSession::retire(const detail::SealedBin &item)
 {
     groupPool_.recycleChain(item.groups);
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    pending_.fetch_sub(item.threads, std::memory_order_relaxed);
     // The release pairs with the gate's acquire: a producer that
     // passes on these retirements also sees the recycled groups'
     // state reach the free tiers coherently.
@@ -455,14 +453,17 @@ StreamSession::monitorMain()
         obs::TraceSession::global().setLaneName("stream monitor");
     const auto tick = std::chrono::milliseconds(
         deadlineMillis_ > 0 ? deadlineMillis_ : kGovernorTickMillis);
-    std::uint64_t lastRetired = retired_.load(std::memory_order_relaxed);
+    std::uint64_t lastRetired = 0;
     bool sawBacklog = false;
     std::unique_lock<std::mutex> lock(monMutex_);
     while (!monCv_.wait_for(lock, tick, [&] { return monDone_; })) {
-        const std::uint64_t pend =
-            pending_.load(std::memory_order_relaxed);
+        const std::uint64_t pend = backlog();
+        // Progress is retirements net of refunds, loaded first so each
+        // refund's own retirement is visible too (no underflow).
+        const std::uint64_t refunds =
+            refunds_.load(std::memory_order_acquire);
         const std::uint64_t ret =
-            retired_.load(std::memory_order_relaxed);
+            retiredThreads_.load(std::memory_order_relaxed) - refunds;
         if (deadlineMillis_ > 0 && !cancel_.requested()) {
             if (sawBacklog && pend > 0 && ret == lastRetired) {
                 // A standing backlog retired nothing for a whole
@@ -530,34 +531,38 @@ StreamSession::stopMonitor()
     monitor_.join();
 }
 
-void
-StreamSession::shedLoad()
+std::uint64_t
+StreamSession::sealAll()
 {
-    std::uint64_t shedBins = 0;
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
+    std::uint64_t sealed = 0;
+    for (const auto &shard : shards_) {
+        const ConcurrentBinTable &table = shard->table;
         const std::size_t bins = table.binCount();
         for (std::size_t b = 0; b < bins; ++b) {
             StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue;
-            enqueue(makeItem(*bin, chain));
-            ++shedBins;
+            detail::SealedBin item;
+            // A null bin: a segment install in flight, or a failed
+            // carve's permanent gap.
+            if (bin && seal(*bin, item)) {
+                enqueue(item);
+                ++sealed;
+            }
         }
     }
+    return sealed;
+}
+
+void
+StreamSession::shedLoad()
+{
+    const std::uint64_t shedBins = sealAll();
     if (recovery_)
         recovery_->loadSheds.fetch_add(1, std::memory_order_relaxed);
     if (obs::metricsOn())
         detail::schedInstruments().recoverLoadSheds->add();
     LSCHED_WARN("stream overload: degraded; force-sealed ", shedBins,
                 " open bin(s) for the drain");
-    LSCHED_TRACE_EVENT(obs::EventType::LoadShed, shedBins,
-                       pending_.load(std::memory_order_relaxed),
+    LSCHED_TRACE_EVENT(obs::EventType::LoadShed, shedBins, backlog(),
                        maxPending_);
 }
 
@@ -574,18 +579,7 @@ StreamSession::finish()
 
     // Producers have stopped (the owner's contract): seal every open
     // chain so the tail of the stream drains like any other epoch.
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // a failed carve left a permanent gap
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (chain.head)
-                enqueue(makeItem(*bin, chain));
-        }
-    }
+    sealAll();
 
     queue_.finish();
     if (helpersRunning_) {
@@ -627,12 +621,15 @@ StreamStats
 StreamSession::stats() const
 {
     StreamStats s;
-    s.forked = forked_.load(std::memory_order_relaxed);
+    // Subtrahends first, as in backlog(): neither difference can
+    // underflow, and a refunded ticket never counts as forked.
+    const std::uint64_t refunds = refunds_.load(std::memory_order_acquire);
+    s.backlog = backlog();
+    s.forked = tickets_.load(std::memory_order_relaxed) - refunds;
     s.executed = executed_.load(std::memory_order_relaxed);
     s.seals = seals_.load(std::memory_order_relaxed);
     s.backpressureWaits = bpWaits_.load(std::memory_order_relaxed);
     s.inlineDrains = inlineDrains_.load(std::memory_order_relaxed);
-    s.backlog = pending_.load(std::memory_order_relaxed);
     s.peakBacklog = peak_.load(std::memory_order_relaxed);
     return s;
 }

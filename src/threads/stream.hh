@@ -82,7 +82,7 @@ struct SchedulerConfig;
 /** Counters of one streaming session (also lifetime-accumulated). */
 struct StreamStats
 {
-    /** Threads admitted through the stream. */
+    /** Tickets taken minus refunded (live: forks in progress too). */
     std::uint64_t forked = 0;
     /** Threads executed by the drain (inline or pool). */
     std::uint64_t executed = 0;
@@ -92,9 +92,9 @@ struct StreamStats
     std::uint64_t backpressureWaits = 0;
     /** Sealed bins a producer drained inline under backpressure. */
     std::uint64_t inlineDrains = 0;
-    /** Threads admitted but not yet executed (live snapshot). */
+    /** Tickets not yet retired (live): gate waiters included. */
     std::uint64_t backlog = 0;
-    /** Highest backlog observed. */
+    /** Highest ticket + 1 − retired at admission (≤ bound if gated). */
     std::uint64_t peakBacklog = 0;
 
     StreamStats &
@@ -392,14 +392,17 @@ class StreamSession
     unsigned shardOf(std::uint64_t hash) const;
     /** Take a ticket and wait out the maxPending gate. */
     void admitThread();
-    /** Record the post-admission backlog (peak tracking). */
-    void notePending();
+    /** Gate slow path; returns the retired count it passed on. */
+    std::uint64_t waitAtGate(std::uint64_t ticket);
+    /** tickets − retired threads (never underflows). */
+    std::uint64_t backlog() const;
     /** Help at the bound: inline-drain a sealed bin or force-seal an
      *  open one. False when the backlog is entirely in flight. */
     bool tryHelp();
-    /** Package a detached chain as a queue work item. */
-    detail::SealedBin makeItem(const StreamBin &bin,
-                               const SealedChain &chain) const;
+    /** Detach @p bin's open epoch as a work item (false: none). */
+    bool seal(StreamBin &bin, detail::SealedBin &out);
+    /** Seal and queue every open bin; returns how many. */
+    std::uint64_t sealAll();
     /** Trace + count + queue one sealed chain (drains inline when the
      *  ring is full, so a push can never deadlock). */
     void enqueue(const detail::SealedBin &item);
@@ -445,20 +448,24 @@ class StreamSession
     detail::FaultCtx fault_;
 
     /**
-     * Ticket gate. tickets_ numbers every admission; retiredThreads_
-     * counts threads the drain has retired (plus fork-rollback
-     * refunds). A gated producer passes once
-     * ticket < retiredThreads_ + maxPending_, which bounds the
-     * admitted-unretired backlog by maxPending_ exactly.
+     * One home per counter, one cache line per writer; a fork writes
+     * only tickets_ (plus its group's claim/ready). forked is tickets_
+     * − refunds_, the backlog tickets_ − retiredThreads_ (gate waiters
+     * included). A gated producer passes once ticket <
+     * retiredThreads_ + maxPending_, which bounds the admitted backlog
+     * by maxPending_ exactly; peak_ records it only when it rises.
      */
-    std::atomic<std::uint64_t> tickets_{0};
-    std::atomic<std::uint64_t> retiredThreads_{0};
-
-    std::atomic<std::uint64_t> pending_{0};
-    std::atomic<std::uint64_t> peak_{0};
-    std::atomic<std::uint64_t> forked_{0};
-    std::atomic<std::uint64_t> executed_{0};
+    alignas(64) std::atomic<std::uint64_t> tickets_{0};
     std::atomic<std::uint64_t> seals_{0};
+
+    /** Drain: threads retired (+ refunds) and executed. */
+    alignas(64) std::atomic<std::uint64_t> retiredThreads_{0};
+    std::atomic<std::uint64_t> executed_{0};
+
+    /** Rare: refunds (fork rollback, AdmissionTimeout), the peak
+     *  (written only when it rises), and slow-path tallies. */
+    alignas(64) std::atomic<std::uint64_t> refunds_{0};
+    std::atomic<std::uint64_t> peak_{0};
     std::atomic<std::uint64_t> bpWaits_{0};
     std::atomic<std::uint64_t> inlineDrains_{0};
 
@@ -473,13 +480,9 @@ class StreamSession
      *  points here when a deadline is armed, so drains and backed-off
      *  producers observe it through stopRequested(). */
     CancelToken cancel_;
-    /** Chains retired so far — the monitor's progress signal. */
-    std::atomic<std::uint64_t> retired_{0};
     /** True while the governor holds the session degraded: producers
      *  stop blocking (soft bound) and open bins are force-sealed. */
     std::atomic<bool> degraded_{false};
-    /** Seed mix-in so concurrent producers jitter independently. */
-    std::atomic<std::uint64_t> jitterSeed_{0};
     detail::RecoveryStats *recovery_;
     OverloadGovernor *governor_;
     std::mutex monMutex_;

@@ -65,6 +65,10 @@ struct ThreadGroup
      */
     std::atomic<std::uint64_t> claim{0};
     std::atomic<std::uint32_t> ready{0};
+    /** Streaming: the epoch's threads in earlier groups, written once
+     *  at install, so slot i is the epoch's (epochBase + i + 1)-th.
+     *  Atomic: a stale-tail producer may read it across a recycle. */
+    std::atomic<std::uint32_t> epochBase{0};
     ThreadGroup *prev = nullptr;
     /** Index in the owning ConcurrentGroupPool's slab directory (the
      *  ABA-safe free list links groups by index, not pointer). */
@@ -84,6 +88,10 @@ struct ThreadGroup
         specs[count++] = {fn, arg1, arg2};
     }
 };
+
+// Shared with the batch path: streaming fields live in the padding.
+static_assert(sizeof(ThreadGroup) == 56 && alignof(ThreadGroup) == 8,
+              "ThreadGroup must stay 56 bytes, 8-aligned");
 
 /**
  * Allocator/recycler for ThreadGroups. Fresh groups are carved from

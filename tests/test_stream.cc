@@ -59,6 +59,29 @@ hintFor(unsigned p, unsigned i)
     return static_cast<Hint>(((p * 7919u + i) % 400u) << 16);
 }
 
+void
+bump(void *counter, void *)
+{
+    static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
+        1, std::memory_order_relaxed);
+}
+
+/**
+ * The derived stream counters' ledger once streamEnd() returned:
+ * every admission that was not refunded executed or faulted, nothing
+ * is left in the backlog, and the gate held.
+ */
+void
+expectLedger(const LocalityScheduler &s, std::uint64_t forked,
+             std::uint64_t bound)
+{
+    const StreamStats st = s.streamStats();
+    EXPECT_EQ(st.forked, forked);
+    EXPECT_EQ(st.forked, st.executed + s.lastFaultCount());
+    EXPECT_EQ(st.backlog, 0u);
+    EXPECT_LE(st.peakBacklog, bound);
+}
+
 TEST(Stream, ConcurrentForkStressMatchesBatch)
 {
     constexpr unsigned kProducers = 4;
@@ -206,29 +229,116 @@ TEST(Stream, BackpressureBoundHolds)
 
 TEST(Stream, SealThresholdProducesEpochs)
 {
+    // One producer, one bin: the threshold seals exactly every
+    // threshold-th fork, finish() finds nothing left to seal, and
+    // every epoch lands back in the same report. An epoch of 100
+    // spans two 64-slot groups (the second group's epoch base carries
+    // the count over); threshold 0 never seals before finish().
+    struct Case
+    {
+        std::uint64_t threshold;
+        std::uint32_t capacity;
+        unsigned threads;
+        std::uint32_t epochs;
+    };
+    const Case cases[] = {{10, 8, 100, 10}, {100, 64, 1000, 10},
+                          {0, 8, 300, 1}};
+    for (const Case &k : cases) {
+        SCOPED_TRACE(testing::Message() << "threshold " << k.threshold);
+        SchedulerConfig c = cfg();
+        c.streamSealThreshold = k.threshold;
+        c.groupCapacity = k.capacity;
+        LocalityScheduler s(c);
+        std::atomic<std::uint64_t> ran{0};
+        s.streamBegin(1);
+        for (unsigned i = 0; i < k.threads; ++i)
+            s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
+        EXPECT_EQ(s.streamEnd(), k.threads);
+        EXPECT_EQ(ran.load(), k.threads);
+        ASSERT_EQ(s.lastStreamBins().size(), 1u);
+        EXPECT_EQ(s.lastStreamBins()[0].threads, k.threads);
+        EXPECT_EQ(s.lastStreamBins()[0].epochs, k.epochs);
+        EXPECT_EQ(s.streamStats().seals, k.epochs);
+    }
+}
+
+TEST(Stream, ForkRollbackRefundsItsTicket)
+{
+    if (!lsched::failpoint::kCompiled)
+        GTEST_SKIP() << "fail points compiled out";
+    namespace fp = lsched::failpoint;
+    // The first group allocation fails: the fork unwinds and hands its
+    // ticket back, so it is neither counted as forked nor left in the
+    // backlog, and the gate does not lose a slot.
+    constexpr std::uint64_t kBound = 8;
     SchedulerConfig c = cfg();
-    c.streamSealThreshold = 10;
+    c.streamSealThreshold = 4;
+    c.streamMaxPending = kBound;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+    fp::disarmAll();
+    ASSERT_TRUE(fp::arm("grouppool.allocate", "hit=1"));
+
+    s.streamBegin(1);
+    EXPECT_THROW(s.fork(bump, &ran, nullptr, hintFor(0, 0), 0),
+                 std::bad_alloc);
+    fp::disarmAll();
+    const StreamStats live = s.streamStats();
+    EXPECT_EQ(live.forked, 0u);
+    EXPECT_EQ(live.backlog, 0u);
+
+    for (unsigned i = 0; i < 200; ++i)
+        s.fork(bump, &ran, nullptr, hintFor(0, i), 0);
+    EXPECT_EQ(s.streamEnd(), 200u);
+    EXPECT_EQ(ran.load(), 200u);
+    expectLedger(s, 200, kBound);
+}
+
+TEST(Stream, LiveStatsNeverUnderflow)
+{
+    // stats() read while three producers fork against a tight gate:
+    // the derived figures never wrap and never run backwards.
+    constexpr unsigned kProducers = 3;
+    constexpr unsigned kPerProducer = 20000;
+    constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+    constexpr std::uint64_t kBound = 32;
+    SchedulerConfig c = cfg();
+    c.streamSealThreshold = 4;
+    c.streamMaxPending = kBound;
     LocalityScheduler s(c);
     std::atomic<std::uint64_t> ran{0};
 
     s.streamBegin(1);
-    for (unsigned i = 0; i < 100; ++i) {
-        s.fork(
-            [](void *counter, void *) {
-                static_cast<std::atomic<std::uint64_t> *>(counter)
-                    ->fetch_add(1, std::memory_order_relaxed);
-            },
-            &ran, nullptr, static_cast<Hint>(1) << 16, 0);
+    std::atomic<bool> done{false};
+    std::thread reader([&] {
+        StreamStats last;
+        while (!done.load(std::memory_order_acquire)) {
+            const StreamStats st = s.streamStats();
+            ASSERT_LE(st.forked, kTotal);
+            ASSERT_LE(st.backlog, kTotal);
+            ASSERT_LE(st.executed, kTotal);
+            ASSERT_GE(st.forked, last.forked);
+            ASSERT_GE(st.executed, last.executed);
+            ASSERT_LE(st.peakBacklog, kBound);
+            last = st;
+        }
+    });
+    {
+        std::vector<std::thread> producers;
+        for (unsigned p = 0; p < kProducers; ++p) {
+            producers.emplace_back([&, p] {
+                for (unsigned i = 0; i < kPerProducer; ++i)
+                    s.fork(bump, &ran, nullptr, hintFor(p, i), 0);
+            });
+        }
+        for (std::thread &t : producers)
+            t.join();
     }
-    EXPECT_EQ(s.streamEnd(), 100u);
-    EXPECT_EQ(ran.load(), 100u);
-
-    // All 100 threads share one bin; the threshold sealed it in
-    // epochs of 10 and every epoch landed back in the same report.
-    ASSERT_EQ(s.lastStreamBins().size(), 1u);
-    EXPECT_EQ(s.lastStreamBins()[0].threads, 100u);
-    EXPECT_GE(s.lastStreamBins()[0].epochs, 10u);
-    EXPECT_GE(s.streamStats().seals, 10u);
+    done.store(true, std::memory_order_release);
+    reader.join();
+    EXPECT_EQ(s.streamEnd(), kTotal);
+    EXPECT_EQ(ran.load(), kTotal);
+    expectLedger(s, kTotal, kBound);
 }
 
 TEST(Stream, SerialBackendDrainsInline)
@@ -261,10 +371,6 @@ TEST(Stream, StreamThenBatchReusesTheScheduler)
     c.streamSealThreshold = 16;
     LocalityScheduler s(c);
     std::atomic<std::uint64_t> ran{0};
-    const auto bump = [](void *counter, void *) {
-        static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
 
     EXPECT_EQ(s.runStream(2, 2, [&](unsigned p) {
         for (unsigned i = 0; i < 300; ++i)
@@ -415,10 +521,6 @@ TEST(Stream, AdmissionTimesOutInsteadOfHangingOnAWedgedPool)
     ASSERT_TRUE(fp::arm("sched.bin.execute", "stall=800"));
 
     std::atomic<std::uint64_t> ran{0};
-    const auto bump = [](void *counter, void *) {
-        static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
     s.streamBegin(1);
     // Two forks fill one bin to the seal threshold; the helper claims
     // the sealed epoch and stalls inside it, holding pending at the
@@ -437,6 +539,11 @@ TEST(Stream, AdmissionTimesOutInsteadOfHangingOnAWedgedPool)
     EXPECT_THROW(
         s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0),
         lsched::AdmissionTimeout);
+    // The timed-out admission refunded its ticket: it is not a fork,
+    // and the backlog is the two wedged threads only.
+    const StreamStats live = s.streamStats();
+    EXPECT_EQ(live.forked, 2u);
+    EXPECT_EQ(live.backlog, 2u);
 
     const RecoverySnapshot r = s.recoverySnapshot();
     EXPECT_GE(r.admissionRetries, 4u);
@@ -446,6 +553,7 @@ TEST(Stream, AdmissionTimesOutInsteadOfHangingOnAWedgedPool)
     // epoch drains and the session closes normally.
     EXPECT_EQ(s.streamEnd(), 2u);
     EXPECT_EQ(ran.load(), 2u);
+    expectLedger(s, 2, 2);
     fp::disarmAll();
 }
 
@@ -465,10 +573,6 @@ TEST(Stream, EpochDeadlineCancelsAWedgedStream)
     ASSERT_TRUE(fp::arm("sched.bin.execute", "stall=900"));
 
     std::atomic<std::uint64_t> ran{0};
-    const auto bump = [](void *counter, void *) {
-        static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
     s.streamBegin(1);
     for (int i = 0; i < 4; ++i)
         s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
@@ -506,10 +610,6 @@ TEST(Stream, EpochDeadlineUnderContinueAndCollectReturnsNormally)
     ASSERT_TRUE(fp::arm("sched.bin.execute", "stall=900"));
 
     std::atomic<std::uint64_t> ran{0};
-    const auto bump = [](void *counter, void *) {
-        static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
     s.streamBegin(1);
     for (int i = 0; i < 4; ++i)
         s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
@@ -545,10 +645,6 @@ TEST(Stream, DegradedStreamShedsLoadAndStopsBlockingProducers)
     ASSERT_TRUE(fp::arm("sched.bin.execute", "stall=1200"));
 
     std::atomic<std::uint64_t> ran{0};
-    const auto bump = [](void *counter, void *) {
-        static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-            1, std::memory_order_relaxed);
-    };
     s.streamBegin(1);
     s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
     s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
