@@ -11,6 +11,7 @@
 #include "cachesim/cache.hh"
 #include "cachesim/fully_assoc.hh"
 #include "cachesim/hierarchy.hh"
+#include "machine/machine_config.hh"
 #include "support/prng.hh"
 #include "threads/scheduler.hh"
 
@@ -120,6 +121,44 @@ BM_HierarchyLoad(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HierarchyLoad);
+
+/**
+ * The threaded matmul's reference stream as sim_matmul simulates it:
+ * each dot product interleaves loads from two 2 KB columns (n = 256
+ * doubles), on the R8000 scaled 16x with the L2's three-C
+ * classification on. Dot products run in 32 x 32-column tiles, the
+ * order a 64 KB block size gives the bin tour. One item is one load.
+ */
+void
+BM_HierarchyDotPattern(benchmark::State &state)
+{
+    constexpr std::uint64_t kN = 256;
+    constexpr std::uint64_t kColBytes = kN * 8;
+    constexpr std::uint64_t kTile = 32;
+    constexpr std::uint64_t kAt = 0x10000000;
+    constexpr std::uint64_t kB = 0x20000000;
+    cachesim::Hierarchy h(
+        machine::scaled(machine::powerIndigo2R8000(), 16).caches);
+    std::uint64_t dot = 0;
+    for (auto _ : state) {
+        const std::uint64_t tile = dot / (kTile * kTile);
+        const std::uint64_t in = dot % (kTile * kTile);
+        const std::uint64_t i = (tile / (kN / kTile)) % (kN / kTile) *
+                                    kTile + in / kTile;
+        const std::uint64_t j = tile % (kN / kTile) * kTile + in % kTile;
+        const std::uint64_t a = kAt + i * kColBytes;
+        const std::uint64_t b = kB + j * kColBytes;
+        for (std::uint64_t k = 0; k < kColBytes; k += 8) {
+            h.load(a + k, 8);
+            h.load(b + k, 8);
+        }
+        ++dot;
+    }
+    benchmark::DoNotOptimize(h.l2Stats().misses);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * 2 * kN));
+}
+BENCHMARK(BM_HierarchyDotPattern);
 
 void
 BM_FullyAssocAccess(benchmark::State &state)

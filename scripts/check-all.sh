@@ -6,8 +6,9 @@
 #                 once with LSCHED_TOPOLOGY=flat forcing legacy flat
 #                 placement)
 #   tsan          fault + obs + pool suites under ThreadSanitizer
-#   asan          stream + chaos suites under ASan/UBSan (the
-#                 lock-free admission path's reclamation story)
+#   asan          stream + chaos + cachesim suites under ASan/UBSan
+#                 (the lock-free admission path's reclamation story,
+#                 and the cache simulator's open-addressed tables)
 #   notrace       full suite with tracing compiled out
 #   nofailpoints  full suite with fail points compiled out
 #
@@ -73,7 +74,10 @@ check tsan tsan-fault
 # The streaming suites again under ASan/UBSan: TSan proves the
 # admission path race-free, this leg proves the epoch reclamation
 # (retired tables, recycled groups, spare bins) never frees early
-# and the lock-free pointer arithmetic stays defined.
+# and the lock-free pointer arithmetic stays defined. The cache
+# simulator's suite rides along: its hand-rolled probing tables
+# (shadow LRU index, seen-line page index) would hide an
+# out-of-bounds probe anywhere else.
 check asan asan-stream
 
 check notrace notrace

@@ -11,6 +11,8 @@ Cache::Cache(CacheConfig config, bool classify)
     config_.validate();
     lineShift_ = floorLog2(config_.lineBytes);
     ways_ = config_.ways();
+    writeThrough_ =
+        config_.writePolicy == WritePolicy::WriteThroughNoAllocate;
     setMask_ = config_.numSets() - 1;
     tags_.assign(config_.numLines(), kInvalid);
     dirty_.assign(config_.numLines(), 0);
@@ -51,13 +53,11 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write)
     Result res;
     ++stats_.accesses;
 
-    const bool write_through =
-        config_.writePolicy == WritePolicy::WriteThroughNoAllocate;
     const std::uint64_t set = line_addr & setMask_;
     std::uint64_t *const tag = &tags_[set * ways_];
     std::uint8_t *const dty = &dirty_[set * ways_];
 
-    if (write_through && is_write)
+    if (writeThrough_ && is_write)
         res.propagateWrite = true;
 
     // Hit path.
@@ -65,7 +65,7 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write)
         if (tag[i] == line_addr) {
             // Write-through caches hold no dirty data.
             const std::uint8_t d = static_cast<std::uint8_t>(
-                dty[i] | ((is_write && !write_through) ? 1 : 0));
+                dty[i] | ((is_write && !writeThrough_) ? 1 : 0));
             if (config_.replacement == Replacement::Lru) {
                 for (unsigned j = i; j > 0; --j) {
                     tag[j] = tag[j - 1];
@@ -86,7 +86,7 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write)
     res.miss = true;
     ++stats_.misses;
 
-    const bool allocate = !(write_through && is_write);
+    const bool allocate = !(writeThrough_ && is_write);
     if (allocate) {
         unsigned way = ways_ - 1; // LRU/FIFO victim: the oldest slot
         if (config_.replacement == Replacement::Random) {
@@ -99,7 +99,7 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write)
                 }
             }
         }
-        installAt(set, way, line_addr, is_write && !write_through,
+        installAt(set, way, line_addr, is_write && !writeThrough_,
                   res);
     }
 

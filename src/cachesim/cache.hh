@@ -24,16 +24,19 @@ namespace lsched::cachesim
 class Cache
 {
   public:
-    /** Outcome of a single line access. */
+    /**
+     * Outcome of a single line access. The 64-bit field leads so the
+     * struct packs into 16 bytes and returns in registers.
+     */
     struct Result
     {
+        /** Line address of the evicted dirty victim (when writeback). */
+        std::uint64_t victimLine = 0;
         bool miss = false;
         /** A dirty line was evicted to make room. */
         bool writeback = false;
         /** The store must also be sent downstream (write-through). */
         bool propagateWrite = false;
-        /** Line address of the evicted dirty victim (when writeback). */
-        std::uint64_t victimLine = 0;
         /** Classification, valid only when miss and classify enabled. */
         MissKind kind = MissKind::Compulsory;
     };
@@ -50,6 +53,27 @@ class Cache
      * shifted to line granularity). @p is_write marks the line dirty.
      */
     Result accessLine(std::uint64_t line_addr, bool is_write);
+
+    /**
+     * The most common case of accessLine(), inline: when @p line_addr
+     * sits in way 0 of its set and the access sends nothing downstream
+     * (a write-through store does), record the hit exactly as
+     * accessLine() would and return true. Otherwise change nothing and
+     * return false; the caller then calls accessLine(). A way-0 hit
+     * reorders nothing under any replacement policy.
+     */
+    bool
+    hitMru(std::uint64_t line_addr, bool is_write)
+    {
+        const std::uint64_t way0 = (line_addr & setMask_) * ways_;
+        if (tags_[way0] != line_addr || (is_write && writeThrough_))
+            return false;
+        ++stats_.accesses;
+        dirty_[way0] |= static_cast<std::uint8_t>(is_write);
+        if (classifier_)
+            classifier_->observe(line_addr, false);
+        return true;
+    }
 
     /**
      * Update-only probe used for writebacks arriving from an upper
@@ -89,6 +113,7 @@ class Cache
     CacheConfig config_;
     unsigned lineShift_;
     unsigned ways_;
+    bool writeThrough_;
     std::uint64_t setMask_;
 
     // tags_[set * ways_ + i]; for LRU/FIFO ordered newest-first.

@@ -2,24 +2,28 @@
  * @file
  * Fully-associative LRU line store.
  *
- * Used two ways: as the shadow cache that drives single-run 3C miss
- * classification (a miss that would have hit a fully-associative cache
- * of equal capacity is a conflict miss, otherwise a capacity miss), and
- * directly as a cache replacement state when a CacheConfig requests
- * full associativity.
+ * The shadow cache that drives single-run 3C miss classification (a
+ * miss that would have hit a fully-associative cache of equal
+ * capacity is a conflict miss, otherwise a capacity miss; see
+ * classify.hh). A Cache configured with associativity = 0 does not
+ * use it: such a cache is a single set whose numLines() ways are
+ * scanned like any other set's.
  *
- * Implementation: open hash map from line address to a slot in a
- * vector-backed intrusive doubly-linked LRU list, so every operation is
- * O(1) with no per-access allocation.
+ * Implementation: a fixed vector of slots threaded into an intrusive
+ * doubly-linked LRU list, found through an open-addressed table of
+ * uint32_t slot numbers (linear probing, backward-shift deletion,
+ * sized once to a power of two >= 2x capacity). Every operation is
+ * O(1) expected, and nothing is allocated after construction.
  */
 
 #ifndef LSCHED_CACHESIM_FULLY_ASSOC_HH
 #define LSCHED_CACHESIM_FULLY_ASSOC_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "support/align.hh"
 #include "support/panic.hh"
 
 namespace lsched::cachesim
@@ -34,8 +38,14 @@ class FullyAssocLru
         : capacity_(capacity)
     {
         LSCHED_ASSERT(capacity_ > 0, "fully-associative capacity is 0");
-        slots_.reserve(capacity_);
-        index_.reserve(capacity_ * 2);
+        LSCHED_ASSERT(capacity_ < (std::uint64_t{1} << 31),
+                      "fully-associative capacity ", capacity_,
+                      " exceeds the 32-bit slot index");
+        slots_.resize(capacity_);
+        const std::uint64_t buckets = roundUpPowerOfTwo(2 * capacity_);
+        index_.assign(buckets, kNone);
+        mask_ = buckets - 1;
+        shift_ = 64 - floorLog2(buckets);
     }
 
     /**
@@ -46,9 +56,9 @@ class FullyAssocLru
     bool
     access(std::uint64_t line)
     {
-        auto it = index_.find(line);
-        if (it != index_.end()) {
-            moveToFront(it->second);
+        const std::uint32_t s = find(line);
+        if (s != kNone) {
+            moveToFront(s);
             return true;
         }
         insert(line);
@@ -59,11 +69,11 @@ class FullyAssocLru
     bool
     contains(std::uint64_t line) const
     {
-        return index_.find(line) != index_.end();
+        return find(line) != kNone;
     }
 
     /** Number of resident lines. */
-    std::uint64_t size() const { return index_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Maximum number of resident lines. */
     std::uint64_t capacity() const { return capacity_; }
@@ -72,8 +82,8 @@ class FullyAssocLru
     void
     clear()
     {
-        slots_.clear();
-        index_.clear();
+        std::fill(index_.begin(), index_.end(), kNone);
+        size_ = 0;
         head_ = kNone;
         tail_ = kNone;
     }
@@ -87,6 +97,46 @@ class FullyAssocLru
         std::uint32_t prev;
         std::uint32_t next;
     };
+
+    /** First bucket of @p line's probe sequence (Fibonacci hashing). */
+    std::uint64_t
+    home(std::uint64_t line) const
+    {
+        return (line * 0x9e3779b97f4a7c15ull) >> shift_;
+    }
+
+    /** Slot holding @p line, or kNone. */
+    std::uint32_t
+    find(std::uint64_t line) const
+    {
+        for (std::uint64_t b = home(line);; b = (b + 1) & mask_) {
+            const std::uint32_t s = index_[b];
+            if (s == kNone || slots_[s].line == line)
+                return s;
+        }
+    }
+
+    /** Remove @p line's bucket, shifting later probes back into it. */
+    void
+    unindex(std::uint64_t line)
+    {
+        std::uint64_t hole = home(line);
+        while (slots_[index_[hole]].line != line)
+            hole = (hole + 1) & mask_;
+        for (std::uint64_t b = (hole + 1) & mask_;; b = (b + 1) & mask_) {
+            const std::uint32_t s = index_[b];
+            if (s == kNone)
+                break;
+            // The entry at b may fill the hole only if the hole lies on
+            // its probe path, i.e. strictly before b from its home.
+            const std::uint64_t h = home(slots_[s].line);
+            if (((hole - h) & mask_) < ((b - h) & mask_)) {
+                index_[hole] = s;
+                hole = b;
+            }
+        }
+        index_[hole] = kNone;
+    }
 
     void
     unlink(std::uint32_t s)
@@ -128,23 +178,29 @@ class FullyAssocLru
     insert(std::uint64_t line)
     {
         std::uint32_t s;
-        if (index_.size() >= capacity_) {
+        if (size_ == capacity_) {
             // Recycle the LRU victim's slot.
             s = tail_;
-            index_.erase(slots_[s].line);
+            unindex(slots_[s].line);
             unlink(s);
         } else {
-            s = static_cast<std::uint32_t>(slots_.size());
-            slots_.push_back({});
+            s = static_cast<std::uint32_t>(size_++);
         }
         slots_[s].line = line;
         linkFront(s);
-        index_.emplace(line, s);
+        std::uint64_t b = home(line);
+        while (index_[b] != kNone)
+            b = (b + 1) & mask_;
+        index_[b] = s;
     }
 
     std::uint64_t capacity_;
+    std::uint64_t size_ = 0;
     std::vector<Slot> slots_;
-    std::unordered_map<std::uint64_t, std::uint32_t> index_;
+    /** Open-addressed buckets holding slot numbers (kNone = empty). */
+    std::vector<std::uint32_t> index_;
+    std::uint64_t mask_;
+    unsigned shift_;
     std::uint32_t head_ = kNone;
     std::uint32_t tail_ = kNone;
 };

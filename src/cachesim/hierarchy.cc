@@ -51,12 +51,12 @@ Hierarchy::accessThrough(Cache &l1, std::uint64_t l1_line, bool is_write)
     } else if (r1.miss) {
         // Demand fetch from L2. The fill is a read even when the
         // triggering reference is a store (write-allocate fetches the
-        // line first); the dirtiness lives in L1 until eviction.
-        const Cache::Result r2 =
-            l2_.accessLine(l2LineOf(l1_line, shift), false);
-        // Dirty victim leaving L2 goes to memory; counted in
-        // l2 stats' writebacks by the cache itself.
-        (void)r2;
+        // line first); the dirtiness lives in L1 until eviction. A
+        // dirty victim leaving L2 goes to memory; the cache counts it
+        // in its own writebacks.
+        const std::uint64_t l2_line = l2LineOf(l1_line, shift);
+        if (!l2_.hitMru(l2_line, false))
+            l2_.accessLine(l2_line, false);
     }
     if (r1.writeback) {
         // Dirty L1 victim updates L2 in place when resident. Because

@@ -12,7 +12,12 @@
  *    every L1 fill also filled L2, the line is almost always resident,
  *    so this models writeback traffic without perturbing the
  *    demand-miss statistics the paper reports;
- *  - references spanning line boundaries touch every covered line.
+ *  - references spanning line boundaries touch every covered line;
+ *  - a zero-byte reference counts as a one-byte reference.
+ *
+ * Hot path: a reference inside one L1 line first tries the inline
+ * Cache::hitMru(), which settles the common way-0 hit without a call;
+ * everything else takes accessThrough(). Both paths count the same.
  */
 
 #ifndef LSCHED_CACHESIM_HIERARCHY_HH
@@ -63,7 +68,7 @@ class Hierarchy
     ifetch(std::uint64_t addr, std::uint64_t bytes)
     {
         ++ifetches_;
-        walkLines(l1i_, addr, bytes);
+        reference(l1i_, addr, bytes, false);
     }
 
     /** Simulate a data load of @p bytes at @p addr. */
@@ -71,7 +76,7 @@ class Hierarchy
     load(std::uint64_t addr, std::uint64_t bytes)
     {
         ++dataRefs_;
-        walkLines(l1d_, addr, bytes);
+        reference(l1d_, addr, bytes, false);
     }
 
     /** Simulate a data store of @p bytes at @p addr. */
@@ -79,7 +84,7 @@ class Hierarchy
     store(std::uint64_t addr, std::uint64_t bytes)
     {
         ++dataRefs_;
-        walkLinesWrite(l1d_, addr, bytes);
+        reference(l1d_, addr, bytes, true);
     }
 
     /**
@@ -144,22 +149,21 @@ class Hierarchy
     const PageMap &pageMap() const { return pageMap_; }
 
   private:
+    /**
+     * Touch every @p l1 line that bytes [addr, addr + bytes) cover;
+     * a zero-byte reference covers the byte at @p addr.
+     */
     void
-    walkLines(Cache &l1, std::uint64_t addr, std::uint64_t bytes)
+    reference(Cache &l1, std::uint64_t addr, std::uint64_t bytes,
+              bool is_write)
     {
         const std::uint64_t first = l1.lineOf(addr);
-        const std::uint64_t last = l1.lineOf(addr + bytes - 1);
+        const std::uint64_t last =
+            l1.lineOf(addr + (bytes ? bytes - 1 : 0));
+        if (first == last && l1.hitMru(first, is_write))
+            return;
         for (std::uint64_t line = first; line <= last; ++line)
-            accessThrough(l1, line, false);
-    }
-
-    void
-    walkLinesWrite(Cache &l1, std::uint64_t addr, std::uint64_t bytes)
-    {
-        const std::uint64_t first = l1.lineOf(addr);
-        const std::uint64_t last = l1.lineOf(addr + bytes - 1);
-        for (std::uint64_t line = first; line <= last; ++line)
-            accessThrough(l1, line, true);
+            accessThrough(l1, line, is_write);
     }
 
     void accessThrough(Cache &l1, std::uint64_t l1_line, bool is_write);

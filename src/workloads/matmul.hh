@@ -371,9 +371,16 @@ struct DotProductCtx
     M *model;
 };
 
-/** Thread body: C[i,j] = dot(At[:,i], B[:,j]); arg2 packs (i, j). */
+/**
+ * Thread body: C[i,j] = dot(At[:,i], B[:,j]); arg2 packs (i, j).
+ *
+ * Aligned to a cache line so its inner loop sits at the same offset
+ * within one line whatever code precedes it: unpinned, an unrelated
+ * change elsewhere moved the native loop across a 64-byte boundary
+ * and slowed the n = 1024 matmul by about a quarter (DESIGN.md §6).
+ */
 template <class M>
-void
+[[gnu::aligned(64)]] void
 dotProductThread(void *ctx_p, void *ij_p)
 {
     auto *ctx = static_cast<DotProductCtx<M> *>(ctx_p);

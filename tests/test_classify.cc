@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cachesim/cache.hh"
 #include "cachesim/classify.hh"
 #include "support/prng.hh"
@@ -12,6 +14,7 @@ namespace
 using lsched::cachesim::Cache;
 using lsched::cachesim::MissClassifier;
 using lsched::cachesim::MissKind;
+using lsched::cachesim::SeenLines;
 
 TEST(MissClassifier, FirstTouchIsCompulsory)
 {
@@ -115,6 +118,25 @@ TEST(ClassifiedCache, ClassCountsSumToMisses)
     const auto &s = cache.stats();
     EXPECT_EQ(s.compulsoryMisses + s.capacityMisses + s.conflictMisses,
               s.misses);
+}
+
+TEST(SeenLines, MatchesStdSetAcrossManyPages)
+{
+    // Lines clustered in a few pages, plus scattered ones that each
+    // open a new 4096-line page and grow the page index many times.
+    SeenLines seen;
+    std::set<std::uint64_t> ref;
+    lsched::Prng prng(11);
+    for (int i = 0; i < 40000; ++i) {
+        const std::uint64_t line =
+            i % 4 == 0 ? prng.nextBelow(std::uint64_t{1} << 50)
+                       : 0x7000 + prng.nextBelow(3 * 4096);
+        ASSERT_EQ(seen.insert(line), ref.insert(line).second) << i;
+    }
+    seen.clear();
+    EXPECT_TRUE(seen.insert(*ref.begin()));
+    EXPECT_FALSE(seen.insert(*ref.begin()));
+    EXPECT_TRUE(seen.insert(*ref.rbegin()));
 }
 
 } // namespace

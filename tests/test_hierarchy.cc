@@ -135,6 +135,47 @@ TEST(Hierarchy, ResetZeroesEverything)
     EXPECT_TRUE(h.l1d().accessLine(0, false).miss);
 }
 
+// A zero-byte reference counts as a one-byte reference: it touches
+// exactly the line holding its address, wherever that address sits.
+TEST(Hierarchy, ZeroByteMidLineTouchesItsLine)
+{
+    Hierarchy h(tinyConfig());
+    h.load(40, 0);
+    EXPECT_EQ(h.l1dStats().accesses, 1u);
+    EXPECT_TRUE(h.l1d().probeLine(1));
+    EXPECT_FALSE(h.l1d().probeLine(0));
+    h.store(40, 0);
+    EXPECT_EQ(h.l1dStats().accesses, 2u);
+    EXPECT_EQ(h.l1dStats().misses, 1u);
+}
+
+TEST(Hierarchy, ZeroByteLineAlignedTouchesItsLine)
+{
+    Hierarchy h(tinyConfig());
+    h.load(64, 0);
+    EXPECT_EQ(h.l1dStats().accesses, 1u);
+    EXPECT_TRUE(h.l1d().probeLine(2));
+    EXPECT_FALSE(h.l1d().probeLine(1));
+    h.ifetch(0x1000, 0);
+    EXPECT_EQ(h.l1iStats().accesses, 1u);
+    EXPECT_TRUE(h.l1i().probeLine(0x1000 / 32));
+}
+
+TEST(Hierarchy, ZeroByteAtAddressZeroTouchesLineZero)
+{
+    // addr + bytes - 1 would wrap to the top of the address space.
+    Hierarchy h(tinyConfig());
+    h.load(0, 0);
+    h.store(0, 0);
+    h.ifetch(0, 0);
+    EXPECT_EQ(h.dataRefs(), 2u);
+    EXPECT_EQ(h.ifetches(), 1u);
+    EXPECT_EQ(h.l1dStats().accesses, 2u);
+    EXPECT_EQ(h.l1dStats().misses, 1u);
+    EXPECT_EQ(h.l1iStats().accesses, 1u);
+    EXPECT_EQ(h.l2Stats().accesses, 2u);
+}
+
 TEST(Hierarchy, L2ClassificationEnabledByDefault)
 {
     Hierarchy h(tinyConfig());
