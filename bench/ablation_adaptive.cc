@@ -279,14 +279,20 @@ main(int argc, char **argv)
 
     // Quiescent overhead: with the tuner settled (no fresh profiler
     // epochs), time a fork-heavy no-op tour against plain blockhash at
-    // the same geometry. Per-rep minimum, because the one-off cost the
-    // adaptive wrapper adds (an acquire load per place) is far below
-    // scheduler wall-clock jitter; the min is the jitter-robust
-    // estimator of the true per-tour floor.
+    // the same geometry. The estimator is the median, over many
+    // adjacent pairs, of the adaptive/baseline time ratio: the two
+    // tours of a pair run back to back, so a load burst from a
+    // neighbouring process moves both halves of a pair together and
+    // cancels in its ratio, and the median ignores the pairs a burst
+    // split. The sides strictly alternate, so every tour follows one
+    // of the other scheduler and pays the same cache-refill cost (an
+    // A-B-B-A order would charge it to whichever side ran second).
+    // Tours are long enough (16K forks) that timer and wake-up jitter
+    // stay small against them.
     const auto oneTour = [&](threads::LocalityScheduler &s) {
         static std::atomic<std::uint64_t> sink{0};
         const auto begin = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < 4000; ++i) {
+        for (std::size_t i = 0; i < 16000; ++i) {
             s.fork(
                 [](void *, void *) {
                     sink.fetch_add(1, std::memory_order_relaxed);
@@ -299,7 +305,7 @@ main(int argc, char **argv)
                    std::chrono::steady_clock::now() - begin)
             .count();
     };
-    // Both sides fresh at the converged geometry, reps interleaved so
+    // Both sides fresh at the converged geometry, tours interleaved so
     // frequency drift hits them equally; the adaptive side exercises
     // the full quiescent path including run()-end maybeRetune() (the
     // profiler is disabled, so the tuner never moves).
@@ -314,14 +320,17 @@ main(int argc, char **argv)
     threads::LocalityScheduler adaptiveQuiet(quietAdapt);
     oneTour(baseline); // warmup: first-touch of bins and free lists
     oneTour(adaptiveQuiet);
-    double baseMs = oneTour(baseline);
-    double adaptMs = oneTour(adaptiveQuiet);
-    for (int rep = 1; rep < 30; ++rep) {
-        baseMs = std::min(baseMs, oneTour(baseline));
-        adaptMs = std::min(adaptMs, oneTour(adaptiveQuiet));
+    std::vector<double> ratios;
+    for (int pair = 0; pair < 61; ++pair) {
+        const double baseMs = oneTour(baseline);
+        const double adaptMs = oneTour(adaptiveQuiet);
+        if (baseMs > 0.0)
+            ratios.push_back(adaptMs / baseMs);
     }
+    std::sort(ratios.begin(), ratios.end());
     const double overheadPercent =
-        baseMs > 0.0 ? 100.0 * (adaptMs - baseMs) / baseMs : 0.0;
+        ratios.empty() ? 0.0
+                       : 100.0 * (ratios[ratios.size() / 2] - 1.0);
 
     TextTable table("Ablation: adaptive placement convergence",
                     {"metric", "value"});

@@ -46,11 +46,11 @@ check() {
 # config_keys.cc / c_api.cc / adapt.cc legitimately keep references —
 # they are the cold configuration/retune surface, not the hot path
 # (adapt.cc polls the profiler only at tour and epoch boundaries).
+# execution.cc carries runParallel() as well as the serial tour walk.
 check_notrace_profiler_free() {
     dir="build-notrace/src/threads/CMakeFiles/lsched_threads.dir"
     for obj in worker_pool.cc.o execution.cc.o stream.cc.o \
-               scheduler.cc.o parallel_scheduler.cc.o \
-               recovery.cc.o; do
+               scheduler.cc.o recovery.cc.o; do
         path="$dir/$obj"
         [ -f "$path" ] || { echo "missing $path" >&2; exit 1; }
         if nm -u "$path" | grep -qi profil; then

@@ -51,10 +51,11 @@ Cli::Cli(std::string program, std::string blurb)
               "(.json/.csv/plain text by extension)");
     addString("placement", "",
               "scheduler placement policy for every scheduler this "
-              "program configures (blockhash|roundrobin|hierarchical)");
+              "program configures "
+              "(blockhash|roundrobin|hierarchical|adaptive)");
     addString("backend", "",
               "parallel execution backend for every scheduler this "
-              "program configures (serial|pooled|coldspawn)");
+              "program configures (serial|pooled)");
     addString("sched", "",
               "comma-separated key=value scheduler config overrides "
               "applied to every scheduler this program configures "

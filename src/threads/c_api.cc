@@ -189,20 +189,12 @@ th_default_scheduler()
 void
 th_init(std::size_t blocksize, std::size_t hashsize)
 {
-    // Shim over the unified config surface: one reconfiguration with
-    // both keys applied, same semantics the dedicated code had
-    // (0 selects the default for either size).
+    // One reconfiguration setting both fields (0 selects the default
+    // for either size).
     guarded([&] {
         lsched::threads::SchedulerConfig config = instance().config();
-        std::string error;
-        if (!lsched::threads::applyConfigKey(
-                config, "block_bytes", std::to_string(blocksize),
-                &error) ||
-            !lsched::threads::applyConfigKey(
-                config, "hash_buckets", std::to_string(hashsize),
-                &error)) {
-            throw lsched::ConfigError(error);
-        }
+        config.blockBytes = blocksize;
+        config.hashBuckets = hashsize;
         instance().configure(config);
     });
 }
@@ -328,18 +320,6 @@ th_topology_summary(char *buf, std::size_t len)
         buf[n] = '\0';
     }
     return static_cast<int>(summary.size());
-}
-
-int
-th_set_deadline(long long millis)
-{
-    if (millis < 0) {
-        recordError("th_set_deadline: negative deadline");
-        return -1;
-    }
-    // Shim over the unified config surface, like th_set_backend.
-    return th_configure("deadline_millis",
-                        std::to_string(millis).c_str());
 }
 
 int
@@ -474,30 +454,6 @@ th_metric_get(const char *name, unsigned long long *value)
            })
                ? 0
                : -1;
-}
-
-int
-th_set_placement(const char *name)
-{
-    if (!name) {
-        recordError("th_set_placement: NULL name");
-        return -1;
-    }
-    // Shim: the key table rejects unknown names with the same
-    // token-list message the dedicated parser used to emit.
-    return th_configure("placement", name);
-}
-
-int
-th_set_backend(const char *name)
-{
-    if (!name) {
-        recordError("th_set_backend: NULL name");
-        return -1;
-    }
-    // Shim: the key table also keeps persistentPool consistent, as
-    // the dedicated setter always did.
-    return th_configure("backend", name);
 }
 
 int
@@ -692,25 +648,25 @@ th_set_placement_(const int *kind)
         recordError("th_set_placement: kind must be 0..3");
         return;
     }
-    th_set_placement(names[*kind]);
+    th_configure("placement", names[*kind]);
 }
 
 void
 th_set_backend_(const int *kind)
 {
-    static const char *const names[] = {"serial", "pooled",
-                                        "coldspawn"};
-    if (!kind || *kind < 0 || *kind > 2) {
-        recordError("th_set_backend: kind must be 0..2");
+    static const char *const names[] = {"serial", "pooled"};
+    if (!kind || *kind < 0 || *kind > 1) {
+        recordError("th_set_backend: kind must be 0..1");
         return;
     }
-    th_set_backend(names[*kind]);
+    th_configure("backend", names[*kind]);
 }
 
 void
 th_set_deadline_(const long long *millis)
 {
-    th_set_deadline(millis ? *millis : 0);
+    th_configure("deadline_millis",
+                 std::to_string(millis ? *millis : 0).c_str());
 }
 
 void

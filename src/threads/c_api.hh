@@ -19,8 +19,8 @@
  *
  * Beyond the paper's surface, configuration goes through one
  * string-keyed pair — th_configure(key, value) / th_config_get() —
- * that reaches every SchedulerConfig knob (th_init and the
- * th_set_placement/th_set_backend selectors are shims over it), and
+ * that reaches every SchedulerConfig knob (th_init sets two of them
+ * directly, the Fortran selectors are shims over it), and
  * th_stream_begin()/th_stream_end() open a streaming admission
  * session in which th_fork is safe from any OS thread while sealed
  * bins drain concurrently.
@@ -42,13 +42,9 @@
 #include "threads/scheduler.hh"
 
 /**
- * Set block size and hash table size (0 = default).
- *
- * @deprecated Legacy shim, kept for source and ABI compatibility with
- * the paper's interface. New code should call
- * th_configure("block_bytes", ...) / th_configure("hash_buckets", ...)
- * — the one surface that reaches every knob and reports errors
- * through th_last_error(). See the README deprecation table.
+ * Set block size and hash table size (0 = default) — the config keys
+ * block_bytes and hash_buckets in one reconfiguration. Errors are
+ * reported through th_last_error().
  */
 void th_init(std::size_t blocksize, std::size_t hashsize);
 
@@ -63,8 +59,8 @@ void th_run(int keep);
  * Run all scheduled threads across @p workers CPUs (Section 7);
  * workers == 0 uses the hardware concurrency, workers <= 1 falls back
  * to the serial th_run. The worker pool persists between calls (see
- * SchedulerConfig::persistentPool), so repeat tours pay no thread
- * creation cost.
+ * SchedulerConfig::backend), so repeat tours pay no thread creation
+ * cost.
  */
 void th_run_parallel(int workers, int keep);
 
@@ -105,10 +101,10 @@ typedef struct th_stats_t
     unsigned long long pool_steals;
     unsigned long long pool_parks;
     /** Active placement policy: 0 blockhash, 1 roundrobin,
-     *  2 hierarchical (see th_set_placement). */
+     *  2 hierarchical, 3 adaptive (config key "placement"). */
     int placement;
-    /** Active execution backend: 0 serial, 1 pooled, 2 coldspawn
-     *  (see th_set_backend). */
+    /** Active execution backend: 0 serial, 1 pooled (config key
+     *  "backend"). */
     int backend;
     /** Distribution over non-empty bins; all 0 when no bin is. */
     double threads_per_bin_mean;
@@ -221,8 +217,9 @@ int th_topology_summary(char *buf, std::size_t len);
  * Reconfigures the global scheduler like th_init, so it requires no
  * threads pending or running. Returns 0 on success, -1 on an unknown
  * key, an unparsable value, or a rejected reconfiguration (the reason
- * lands in th_last_error()). th_init, th_set_placement, and
- * th_set_backend are thin shims over this call.
+ * lands in th_last_error()). The Fortran selectors
+ * (th_set_placement_, th_set_backend_, th_set_deadline_) are thin
+ * shims over this call.
  */
 int th_configure(const char *key, const char *value);
 
@@ -236,7 +233,7 @@ int th_configure(const char *key, const char *value);
 int th_config_get(const char *key, char *buf, std::size_t len);
 
 /**
- * Number of canonical configuration keys th_configure understands
+ * Number of configuration keys th_configure understands
  * (the "profile.*" family included), so clients can discover the
  * surface programmatically instead of hard-coding the key list.
  * Enumerate them with th_config_key().
@@ -244,13 +241,11 @@ int th_config_get(const char *key, char *buf, std::size_t len);
 int th_config_keys(void);
 
 /**
- * Write the canonical name of configuration key @p index
+ * Write the name of configuration key @p index
  * (0 <= index < th_config_keys(), documentation order) into @p buf,
  * NUL-terminated and truncated to @p len bytes. Returns the full name
  * length (excluding the NUL, à la snprintf), or -1 on an
- * out-of-range index or NULL buf with len > 0. Legacy camelCase
- * spellings are accepted as aliases by th_configure/th_config_get but
- * are not enumerated here.
+ * out-of-range index or NULL buf with len > 0.
  */
 int th_config_key(int index, char *buf, std::size_t len);
 
@@ -287,44 +282,6 @@ int th_metric_name(int index, char *buf, std::size_t len);
  * reason lands in th_last_error()).
  */
 int th_metric_get(const char *name, unsigned long long *value);
-
-/**
- * Select the placement policy of the global scheduler by name
- * ("blockhash", "roundrobin", "hierarchical", "adaptive"). Shim over
- * th_configure("placement", name); same contract. Returns 0 on
- * success, -1 on an unknown name or a rejected reconfiguration (the
- * reason lands in th_last_error()).
- *
- * @deprecated Call th_configure("placement", name) directly; the shim
- * survives for compatibility only. See the README deprecation table.
- */
-int th_set_placement(const char *name);
-
-/**
- * Select the execution backend of the global scheduler by name
- * ("serial", "pooled", "coldspawn"). Shim over
- * th_configure("backend", name). Returns 0 on success, -1 on error.
- *
- * @deprecated Call th_configure("backend", name) directly; the shim
- * survives for compatibility only. See the README deprecation table.
- */
-int th_set_backend(const char *name);
-
-/**
- * Arm (or disarm, with 0) the tour/epoch deadline of the global
- * scheduler: after @p millis milliseconds a running tour — or a
- * streaming epoch that retires nothing while a backlog stands — is
- * cooperatively cancelled at the next bin boundary and surfaced as a
- * recoverable deadline error (see SchedulerConfig::deadlineMillis).
- * Shim over th_configure("deadline_millis", ...); same contract.
- * Returns 0 on success, -1 on a negative value or a rejected
- * reconfiguration (the reason lands in th_last_error()).
- *
- * @deprecated Call th_configure("deadline_millis", ...) directly; the
- * shim survives for compatibility only. See the README deprecation
- * table.
- */
-int th_set_deadline(long long millis);
 
 /**
  * Begin a streaming admission session on the global scheduler
@@ -459,12 +416,12 @@ void th_run_parallel_(const int *workers, const int *keep);
  *  string lengths). */
 void th_set_placement_(const int *kind);
 
-/** Fortran: CALL TH_SET_BACKEND(KIND) — 0 serial, 1 pooled,
- *  2 coldspawn. */
+/** Fortran: CALL TH_SET_BACKEND(KIND) — 0 serial, 1 pooled. */
 void th_set_backend_(const int *kind);
 
 /** Fortran: CALL TH_SET_DEADLINE(MILLIS) — MILLIS is INTEGER*8;
- *  0 disarms (see th_set_deadline). */
+ *  0 disarms (config key "deadline_millis"; see
+ *  SchedulerConfig::deadlineMillis). */
 void th_set_deadline_(const long long *millis);
 
 /** Fortran: CALL TH_STREAM_BEGIN(WORKERS) — see th_stream_begin. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * The key table behind applyConfigKey/configKeyValue. One row per
- * SchedulerConfig field; see config_keys.hh for the contract.
+ * The descriptor table behind applyConfigKey/configKeyValue/
+ * configKeys: one row per key; see config_keys.hh for the contract.
  */
 
 #include "threads/config_keys.hh"
@@ -10,6 +10,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "machine/topology.hh"
 #include "obs/profile.hh"
@@ -81,26 +84,6 @@ parseBool(const std::string &value, bool *out)
     return false;
 }
 
-/**
- * Non-fatal counterpart of tourPolicyFromName (which is a CLI-path
- * LSCHED_FATAL on unknown names).
- */
-bool
-tryTourFromName(const std::string &name, TourPolicy *out)
-{
-    if (name == "creation")
-        *out = TourPolicy::CreationOrder;
-    else if (name == "snake")
-        *out = TourPolicy::SortedSnake;
-    else if (name == "nearest")
-        *out = TourPolicy::NearestNeighbor;
-    else if (name == "hilbert")
-        *out = TourPolicy::Hilbert;
-    else
-        return false;
-    return true;
-}
-
 bool
 tryErrorPolicyFromName(const std::string &name, ErrorPolicy *out)
 {
@@ -126,449 +109,314 @@ errorPolicyToken(ErrorPolicy policy)
     return "?";
 }
 
-void
-fail(std::string *error, std::string message)
+/**
+ * One key. set() parses a value into the key's target and returns
+ * false — target untouched — on a value outside @c want; get()
+ * formats the target so set() reproduces it. Both see the
+ * scheduler's config and a staged copy of the process-global
+ * profiler config; a row touches only the one it names.
+ */
+struct Key
 {
-    if (error)
-        *error = std::move(message);
+    const char *name;
+    /** What a bad value is told to want ("a byte count", ...). */
+    const char *want;
+    bool (*set)(SchedulerConfig &, obs::ProfileConfig &,
+                const std::string &);
+    std::string (*get)(const SchedulerConfig &,
+                       const obs::ProfileConfig &);
+};
+
+template <class M>
+struct MemberOf;
+
+template <class C, class T>
+struct MemberOf<T C::*>
+{
+    using Owner = C;
+    using Type = T;
+};
+
+/** Type of the field a member pointer names. */
+template <auto Field>
+using FieldType = typename MemberOf<decltype(Field)>::Type;
+
+/** The field @p Field names, in whichever object owns it. */
+template <auto Field, class Config, class Profile>
+auto &
+fieldOf(Config &config, Profile &profile)
+{
+    if constexpr (std::is_same_v<typename MemberOf<decltype(Field)>::Owner,
+                                 obs::ProfileConfig>)
+        return profile.*Field;
+    else
+        return config.*Field;
 }
 
-bool
-badValue(std::string *error, const std::string &key,
-         const std::string &value, const char *want)
+/** An unsigned count in [Min, Max] (Max defaults to the field's). */
+template <auto Field, std::uint64_t Min = 0,
+          std::uint64_t Max = std::numeric_limits<FieldType<Field>>::max()>
+constexpr Key
+countKey(const char *name, const char *want)
 {
-    fail(error, "config key '" + key + "': bad value '" + value +
-                    "' (want " + want + ")");
-    return false;
+    return {name, want,
+            [](SchedulerConfig &c, obs::ProfileConfig &p,
+               const std::string &value) {
+                std::uint64_t u = 0;
+                if (!parseU64(value, &u) || u < Min || u > Max)
+                    return false;
+                fieldOf<Field>(c, p) = static_cast<FieldType<Field>>(u);
+                return true;
+            },
+            [](const SchedulerConfig &c, const obs::ProfileConfig &p) {
+                return std::to_string(fieldOf<Field>(c, p));
+            }};
 }
+
+/** A finite, non-negative real in [Min, Max]. */
+template <auto Field, double Min = 0.0,
+          double Max = std::numeric_limits<double>::max()>
+constexpr Key
+realKey(const char *name, const char *want)
+{
+    return {name, want,
+            [](SchedulerConfig &c, obs::ProfileConfig &p,
+               const std::string &value) {
+                double d = 0.0;
+                if (!parseDouble(value, &d) || d < Min || d > Max)
+                    return false;
+                fieldOf<Field>(c, p) = d;
+                return true;
+            },
+            [](const SchedulerConfig &c, const obs::ProfileConfig &p) {
+                return doubleToken(fieldOf<Field>(c, p));
+            }};
+}
+
+template <auto Field>
+constexpr Key
+flagKey(const char *name)
+{
+    return {name, "a boolean",
+            [](SchedulerConfig &c, obs::ProfileConfig &p,
+               const std::string &value) {
+                return parseBool(value, &fieldOf<Field>(c, p));
+            },
+            [](const SchedulerConfig &c, const obs::ProfileConfig &p) {
+                return std::string(fieldOf<Field>(c, p) ? "1" : "0");
+            }};
+}
+
+/** A named choice: Parse(value, &out) / Name(field). */
+template <auto Field, auto Parse, auto Name>
+constexpr Key
+choiceKey(const char *name, const char *want)
+{
+    return {name, want,
+            [](SchedulerConfig &c, obs::ProfileConfig &p,
+               const std::string &value) {
+                return Parse(value, &fieldOf<Field>(c, p));
+            },
+            [](const SchedulerConfig &c, const obs::ProfileConfig &p) {
+                return std::string(Name(fieldOf<Field>(c, p)));
+            }};
+}
+
+/** Free text, taken as given. */
+template <auto Field>
+constexpr Key
+textKey(const char *name)
+{
+    return {name, "",
+            [](SchedulerConfig &c, obs::ProfileConfig &p,
+               const std::string &value) {
+                fieldOf<Field>(c, p) = value;
+                return true;
+            },
+            [](const SchedulerConfig &c, const obs::ProfileConfig &p) {
+                return fieldOf<Field>(c, p);
+            }};
+}
+
+using C = SchedulerConfig;
+using P = obs::ProfileConfig;
 
 /**
- * The process-global profile.* family (obs::Profiler), reached through
- * the same string surface as the SchedulerConfig keys. Idempotent, so
- * --sched replay onto every scheduler a program builds is harmless.
+ * Every key, in the order configKeys() documents them. The profile.*
+ * rows target the process-global profiler (obs/profile.hh); the rest
+ * mirror SchedulerConfig field for field.
  */
-bool
-applyProfileKey(const std::string &key, const std::string &value,
-                std::string *error)
-{
-    std::uint64_t u = 0;
-    bool b = false;
-    obs::ProfileConfig config = obs::Profiler::global().config();
+const Key kKeys[] = {
+    countKey<&C::dims, 1, kMaxDims>("dims", "an integer in [1, 8]"),
+    countKey<&C::cacheBytes>("cache_bytes", "a byte count"),
+    countKey<&C::blockBytes>("block_bytes",
+                             "a byte count (0 = cache_bytes / dims)"),
+    countKey<&C::hashBuckets>("hash_buckets",
+                              "a bucket count (0 = default)"),
+    countKey<&C::groupCapacity, 1>("group_capacity",
+                                   "a positive 32-bit thread count"),
+    flagKey<&C::symmetricHints>("symmetric_hints"),
+    choiceKey<&C::placement, &tryPlacementFromName, &placementName>(
+        "placement", "blockhash|roundrobin|hierarchical|adaptive"),
+    choiceKey<&C::backend, &tryBackendFromName, &backendName>(
+        "backend", "serial|pooled"),
+    countKey<&C::roundRobinBins>("round_robin_bins",
+                                 "a bin count (0 = policy default)"),
+    countKey<&C::superBinFan>(
+        "super_bin_fan", "blocks per super-bin (0 = policy default)"),
+    {"topology", "auto|flat|PxCxGxS[/l2=N][/l3=N]",
+     [](C &c, P &, const std::string &value) {
+         if (value != "auto" && value != "flat") {
+             machine::CacheTopology probe;
+             std::string why;
+             if (!machine::CacheTopology::fromSpec(value, &probe, &why))
+                 return false;
+         }
+         c.topology = value;
+         return true;
+     },
+     [](const C &c, const P &) { return c.topology; }},
+    choiceKey<&C::tour, &tryTourFromName, &tourPolicyName>(
+        "tour", "creation|snake|nearest|hilbert"),
+    choiceKey<&C::onError, &tryErrorPolicyFromName, &errorPolicyToken>(
+        "on_error", "abort|stoptour|continue"),
+    countKey<&C::watchdogMillis>("watchdog_millis",
+                                 "milliseconds (0 disables)"),
+    choiceKey<&C::watchdogAction, &tryWatchdogActionFromName,
+              &watchdogActionName>("watchdog_action", "event|cancel"),
+    countKey<&C::deadlineMillis>("deadline_millis",
+                                 "milliseconds (0 disables)"),
+    countKey<&C::streamAdmitRetries>(
+        "stream_admit_retries", "a retry bound (0 = retry forever)"),
+    countKey<&C::overloadEpochs>(
+        "overload_epochs", "an epoch count (0 disables the governor)"),
+    countKey<&C::recoverEpochs, 1>("recover_epochs",
+                                   "a positive epoch count"),
+    flagKey<&C::pinWorkers>("pin_workers"),
+    countKey<&C::streamShards>("stream_shards",
+                               "a shard count (0 = default)"),
+    countKey<&C::streamMaxPending>("stream_max_pending",
+                                   "a thread bound (0 = unbounded)"),
+    countKey<&C::streamSealThreshold>(
+        "stream_seal_threshold", "a thread count (0 = seal at end only)"),
+    {"adapt.base", "blockhash|roundrobin|hierarchical",
+     [](C &c, P &, const std::string &value) {
+         PlacementKind kind;
+         if (!tryPlacementFromName(value, &kind) ||
+             kind == PlacementKind::Adaptive)
+             return false;
+         c.adaptBase = kind;
+         return true;
+     },
+     [](const C &c, const P &) {
+         return std::string(placementName(c.adaptBase));
+     }},
+    realKey<&C::adaptTargetMiss, 0.0, 1.0>("adapt.target_miss",
+                                           "a miss rate in [0, 1]"),
+    realKey<&C::adaptHighMiss, 0.0, 1.0>("adapt.high_miss",
+                                         "a miss rate in [0, 1]"),
+    realKey<&C::adaptConverge, 1.0>(
+        "adapt.converge", "a factor >= 1 over the tuned miss rate"),
+    countKey<&C::adaptEpochs, 1>("adapt.epochs",
+                                 "a positive epoch count"),
+    countKey<&C::adaptHold>("adapt.hold",
+                            "an epoch count (0 = react immediately)"),
+    countKey<&C::adaptMinBlock, 1>("adapt.min_block",
+                                   "a positive byte floor"),
+    countKey<&C::adaptMaxBlock>("adapt.max_block",
+                                "a byte ceiling (0 = cache_bytes)"),
+    countKey<&C::adaptMinRefs>("adapt.min_refs",
+                               "an LLC-reference floor per epoch"),
+    realKey<&C::adaptDwellImprove, 0.0, 1.0>(
+        "adapt.dwell_improve", "an improvement fraction in [0, 1]"),
+    {"profile.enable", "a boolean",
+     [](C &, P &, const std::string &value) {
+         bool on = false;
+         if (!parseBool(value, &on))
+             return false;
+         obs::Profiler::global().setEnabled(on);
+         return true;
+     },
+     [](const C &, const P &) {
+         return std::string(obs::Profiler::global().enabled() ? "1"
+                                                              : "0");
+     }},
+    flagKey<&P::pmu>("profile.pmu"),
+    countKey<&P::intervalMs>("profile.interval_ms",
+                             "milliseconds (0 = manual snapshots)"),
+    textKey<&P::output>("profile.output"),
+    textKey<&P::omOutput>("profile.om_output"),
+    countKey<&P::ringDepth, 1>("profile.ring",
+                               "a positive snapshot count"),
+    countKey<&P::maxBins, 1>("profile.max_bins", "a positive bin count"),
+};
 
-    if (key == "profile.enable") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        obs::Profiler::global().setEnabled(b);
-        return true;
+const Key *
+findKey(const std::string &name)
+{
+    for (const Key &key : kKeys) {
+        if (name == key.name)
+            return &key;
     }
-    if (key == "profile.pmu") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        config.pmu = b;
-    } else if (key == "profile.interval_ms") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "milliseconds (0 = manual snapshots)");
-        config.intervalMs = u;
-    } else if (key == "profile.output") {
-        config.output = value;
-    } else if (key == "profile.om_output") {
-        config.omOutput = value;
-    } else if (key == "profile.ring") {
-        if (!parseU64(value, &u) || u == 0)
-            return badValue(error, key, value,
-                            "a positive snapshot count");
-        config.ringDepth = static_cast<std::size_t>(u);
-    } else if (key == "profile.max_bins") {
-        if (!parseU64(value, &u) || u == 0)
-            return badValue(error, key, value, "a positive bin count");
-        config.maxBins = static_cast<std::size_t>(u);
-    } else {
-        fail(error, "unknown config key '" + key + "'");
-        return false;
-    }
-    return obs::Profiler::global().configure(config, error);
+    return nullptr;
 }
 
+/** The profile.* rows configure the process-global profiler. */
 bool
-profileKeyValue(const std::string &key, std::string *out)
+isProfileKey(const Key &key)
 {
-    const obs::ProfileConfig config = obs::Profiler::global().config();
-    if (key == "profile.enable")
-        *out = obs::Profiler::global().enabled() ? "1" : "0";
-    else if (key == "profile.pmu")
-        *out = config.pmu ? "1" : "0";
-    else if (key == "profile.interval_ms")
-        *out = std::to_string(config.intervalMs);
-    else if (key == "profile.output")
-        *out = config.output;
-    else if (key == "profile.om_output")
-        *out = config.omOutput;
-    else if (key == "profile.ring")
-        *out = std::to_string(config.ringDepth);
-    else if (key == "profile.max_bins")
-        *out = std::to_string(config.maxBins);
-    else
-        return false;
-    return true;
+    return std::string_view(key.name).starts_with("profile.");
 }
 
 } // namespace
 
-std::string
-canonicalConfigKey(const std::string &raw)
-{
-    bool hasUpper = false;
-    for (char c : raw) {
-        if (c >= 'A' && c <= 'Z') {
-            hasUpper = true;
-            break;
-        }
-    }
-    if (!hasUpper)
-        return raw;
-    std::string key;
-    key.reserve(raw.size() + 4);
-    for (char c : raw) {
-        if (c >= 'A' && c <= 'Z') {
-            key.push_back('_');
-            key.push_back(static_cast<char>(c - 'A' + 'a'));
-        } else {
-            key.push_back(c);
-        }
-    }
-    return key;
-}
-
 bool
-applyConfigKey(SchedulerConfig &config, const std::string &rawKey,
+applyConfigKey(SchedulerConfig &config, const std::string &key,
                const std::string &value, std::string *error)
 {
-    const std::string key = canonicalConfigKey(rawKey);
-    if (key.rfind("profile.", 0) == 0)
-        return applyProfileKey(key, value, error);
-
-    std::uint64_t u = 0;
-    bool b = false;
-
-    if (key == "dims") {
-        if (!parseU64(value, &u) || u == 0 || u > kMaxDims)
-            return badValue(error, key, value, "an integer in [1, 8]");
-        config.dims = static_cast<unsigned>(u);
-    } else if (key == "cache_bytes") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value, "a byte count");
-        config.cacheBytes = u;
-    } else if (key == "block_bytes") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a byte count (0 = cache_bytes / dims)");
-        config.blockBytes = u;
-    } else if (key == "hash_buckets") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a bucket count (0 = default)");
-        config.hashBuckets = static_cast<std::size_t>(u);
-    } else if (key == "group_capacity") {
-        if (!parseU64(value, &u) || u == 0 || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a positive 32-bit thread count");
-        config.groupCapacity = static_cast<std::uint32_t>(u);
-    } else if (key == "symmetric_hints") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        config.symmetricHints = b;
-    } else if (key == "placement") {
-        PlacementKind kind;
-        if (!tryPlacementFromName(value, &kind))
-            return badValue(error, key, value,
-                            "blockhash|roundrobin|hierarchical|adaptive");
-        config.placement = kind;
-    } else if (key == "backend") {
-        BackendKind kind;
-        if (!tryBackendFromName(value, &kind))
-            return badValue(error, key, value,
-                            "serial|pooled|coldspawn");
-        config.backend = kind;
-        // The legacy knob pair stays consistent both ways, exactly as
-        // th_set_backend always kept it: picking pooled back on must
-        // re-enable the persistent pool validated() would otherwise
-        // fold the backend away with.
-        config.persistentPool = kind != BackendKind::ColdSpawn;
-    } else if (key == "round_robin_bins") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a bin count (0 = policy default)");
-        config.roundRobinBins = u;
-    } else if (key == "topology") {
-        if (value != "auto" && value != "flat") {
-            machine::CacheTopology probe;
-            std::string why;
-            if (!machine::CacheTopology::fromSpec(value, &probe, &why))
-                return badValue(error, key, value,
-                                "auto|flat|PxCxGxS[/l2=N][/l3=N]");
-        }
-        config.topology = value;
-    } else if (key == "super_bin_fan") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "blocks per super-bin (0 = policy default)");
-        config.superBinFan = u;
-    } else if (key == "tour") {
-        TourPolicy policy;
-        if (!tryTourFromName(value, &policy))
-            return badValue(error, key, value,
-                            "creation|snake|nearest|hilbert");
-        config.tour = policy;
-    } else if (key == "on_error") {
-        ErrorPolicy policy;
-        if (!tryErrorPolicyFromName(value, &policy))
-            return badValue(error, key, value,
-                            "abort|stoptour|continue");
-        config.onError = policy;
-    } else if (key == "watchdog_millis") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "milliseconds (0 disables)");
-        config.watchdogMillis = static_cast<std::uint32_t>(u);
-    } else if (key == "watchdog_action") {
-        WatchdogAction action;
-        if (!tryWatchdogActionFromName(value, &action))
-            return badValue(error, key, value, "event|cancel");
-        config.watchdogAction = action;
-    } else if (key == "deadline_millis") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "milliseconds (0 disables)");
-        config.deadlineMillis = static_cast<std::uint32_t>(u);
-    } else if (key == "stream_admit_retries") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a retry bound (0 = retry forever)");
-        config.streamAdmitRetries = static_cast<std::uint32_t>(u);
-    } else if (key == "overload_epochs") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "an epoch count (0 disables the governor)");
-        config.overloadEpochs = static_cast<unsigned>(u);
-    } else if (key == "recover_epochs") {
-        if (!parseU64(value, &u) || u == 0 || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a positive epoch count");
-        config.recoverEpochs = static_cast<unsigned>(u);
-    } else if (key == "persistent_pool") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        config.persistentPool = b;
-    } else if (key == "pin_workers") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        config.pinWorkers = b;
-    } else if (key == "stream_shards") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a shard count (0 = default)");
-        config.streamShards = static_cast<unsigned>(u);
-    } else if (key == "stream_max_pending") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a thread bound (0 = unbounded)");
-        config.streamMaxPending = u;
-    } else if (key == "stream_seal_threshold") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a thread count (0 = seal at end only)");
-        config.streamSealThreshold = u;
-    } else if (key == "adapt.base") {
-        PlacementKind kind;
-        if (!tryPlacementFromName(value, &kind) ||
-            kind == PlacementKind::Adaptive)
-            return badValue(error, key, value,
-                            "blockhash|roundrobin|hierarchical");
-        config.adaptBase = kind;
-    } else if (key == "adapt.target_miss") {
-        double d = 0.0;
-        if (!parseDouble(value, &d) || d > 1.0)
-            return badValue(error, key, value,
-                            "a miss rate in [0, 1]");
-        config.adaptTargetMiss = d;
-    } else if (key == "adapt.high_miss") {
-        double d = 0.0;
-        if (!parseDouble(value, &d) || d > 1.0)
-            return badValue(error, key, value,
-                            "a miss rate in [0, 1]");
-        config.adaptHighMiss = d;
-    } else if (key == "adapt.converge") {
-        double d = 0.0;
-        if (!parseDouble(value, &d) || d < 1.0)
-            return badValue(error, key, value,
-                            "a factor >= 1 over the tuned miss rate");
-        config.adaptConverge = d;
-    } else if (key == "adapt.epochs") {
-        if (!parseU64(value, &u) || u == 0 || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a positive epoch count");
-        config.adaptEpochs = static_cast<unsigned>(u);
-    } else if (key == "adapt.hold") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "an epoch count (0 = react immediately)");
-        config.adaptHold = static_cast<unsigned>(u);
-    } else if (key == "adapt.min_block") {
-        if (!parseU64(value, &u) || u == 0)
-            return badValue(error, key, value,
-                            "a positive byte floor");
-        config.adaptMinBlock = u;
-    } else if (key == "adapt.max_block") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "a byte ceiling (0 = cache_bytes)");
-        config.adaptMaxBlock = u;
-    } else if (key == "adapt.min_refs") {
-        if (!parseU64(value, &u))
-            return badValue(error, key, value,
-                            "an LLC-reference floor per epoch");
-        config.adaptMinRefs = u;
-    } else if (key == "adapt.dwell_improve") {
-        double d = 0.0;
-        if (!parseDouble(value, &d) || d > 1.0)
-            return badValue(error, key, value,
-                            "an improvement fraction in [0, 1]");
-        config.adaptDwellImprove = d;
-    } else {
-        fail(error, "unknown config key '" + key + "'");
+    const Key *row = findKey(key);
+    if (!row) {
+        if (error)
+            *error = "unknown config key '" + key + "'";
         return false;
     }
-    return true;
+    const bool profile = isProfileKey(*row);
+    obs::ProfileConfig staged;
+    if (profile)
+        staged = obs::Profiler::global().config();
+    if (!row->set(config, staged, value)) {
+        if (error) {
+            *error = "config key '" + key + "': bad value '" + value +
+                     "' (want " + row->want + ")";
+        }
+        return false;
+    }
+    return !profile || obs::Profiler::global().configure(staged, error);
 }
 
 bool
-configKeyValue(const SchedulerConfig &config,
-               const std::string &rawKey, std::string *out)
+configKeyValue(const SchedulerConfig &config, const std::string &key,
+               std::string *out)
 {
-    const std::string key = canonicalConfigKey(rawKey);
-    if (key.rfind("profile.", 0) == 0)
-        return profileKeyValue(key, out);
-
-    if (key == "dims")
-        *out = std::to_string(config.dims);
-    else if (key == "cache_bytes")
-        *out = std::to_string(config.cacheBytes);
-    else if (key == "block_bytes")
-        *out = std::to_string(config.blockBytes);
-    else if (key == "hash_buckets")
-        *out = std::to_string(config.hashBuckets);
-    else if (key == "group_capacity")
-        *out = std::to_string(config.groupCapacity);
-    else if (key == "symmetric_hints")
-        *out = config.symmetricHints ? "1" : "0";
-    else if (key == "placement")
-        *out = placementName(config.placement);
-    else if (key == "backend")
-        *out = backendName(config.backend);
-    else if (key == "round_robin_bins")
-        *out = std::to_string(config.roundRobinBins);
-    else if (key == "topology")
-        *out = config.topology;
-    else if (key == "super_bin_fan")
-        *out = std::to_string(config.superBinFan);
-    else if (key == "tour")
-        *out = tourPolicyName(config.tour);
-    else if (key == "on_error")
-        *out = errorPolicyToken(config.onError);
-    else if (key == "watchdog_millis")
-        *out = std::to_string(config.watchdogMillis);
-    else if (key == "watchdog_action")
-        *out = watchdogActionName(config.watchdogAction);
-    else if (key == "deadline_millis")
-        *out = std::to_string(config.deadlineMillis);
-    else if (key == "stream_admit_retries")
-        *out = std::to_string(config.streamAdmitRetries);
-    else if (key == "overload_epochs")
-        *out = std::to_string(config.overloadEpochs);
-    else if (key == "recover_epochs")
-        *out = std::to_string(config.recoverEpochs);
-    else if (key == "persistent_pool")
-        *out = config.persistentPool ? "1" : "0";
-    else if (key == "pin_workers")
-        *out = config.pinWorkers ? "1" : "0";
-    else if (key == "stream_shards")
-        *out = std::to_string(config.streamShards);
-    else if (key == "stream_max_pending")
-        *out = std::to_string(config.streamMaxPending);
-    else if (key == "stream_seal_threshold")
-        *out = std::to_string(config.streamSealThreshold);
-    else if (key == "adapt.base")
-        *out = placementName(config.adaptBase);
-    else if (key == "adapt.target_miss")
-        *out = doubleToken(config.adaptTargetMiss);
-    else if (key == "adapt.high_miss")
-        *out = doubleToken(config.adaptHighMiss);
-    else if (key == "adapt.converge")
-        *out = doubleToken(config.adaptConverge);
-    else if (key == "adapt.epochs")
-        *out = std::to_string(config.adaptEpochs);
-    else if (key == "adapt.hold")
-        *out = std::to_string(config.adaptHold);
-    else if (key == "adapt.min_block")
-        *out = std::to_string(config.adaptMinBlock);
-    else if (key == "adapt.max_block")
-        *out = std::to_string(config.adaptMaxBlock);
-    else if (key == "adapt.min_refs")
-        *out = std::to_string(config.adaptMinRefs);
-    else if (key == "adapt.dwell_improve")
-        *out = doubleToken(config.adaptDwellImprove);
-    else
+    const Key *row = findKey(key);
+    if (!row)
         return false;
+    obs::ProfileConfig staged;
+    if (isProfileKey(*row))
+        staged = obs::Profiler::global().config();
+    *out = row->get(config, staged);
     return true;
 }
 
 const std::vector<std::string> &
 configKeys()
 {
-    static const std::vector<std::string> keys = {
-        "dims",
-        "cache_bytes",
-        "block_bytes",
-        "hash_buckets",
-        "group_capacity",
-        "symmetric_hints",
-        "placement",
-        "backend",
-        "round_robin_bins",
-        "super_bin_fan",
-        "topology",
-        "tour",
-        "on_error",
-        "watchdog_millis",
-        "watchdog_action",
-        "deadline_millis",
-        "stream_admit_retries",
-        "overload_epochs",
-        "recover_epochs",
-        "persistent_pool",
-        "pin_workers",
-        "stream_shards",
-        "stream_max_pending",
-        "stream_seal_threshold",
-        "adapt.base",
-        "adapt.target_miss",
-        "adapt.high_miss",
-        "adapt.converge",
-        "adapt.epochs",
-        "adapt.hold",
-        "adapt.min_block",
-        "adapt.max_block",
-        "adapt.min_refs",
-        "adapt.dwell_improve",
-        "profile.enable",
-        "profile.pmu",
-        "profile.interval_ms",
-        "profile.output",
-        "profile.om_output",
-        "profile.ring",
-        "profile.max_bins",
-    };
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> names;
+        for (const Key &key : kKeys)
+            names.emplace_back(key.name);
+        return names;
+    }();
     return keys;
 }
 

@@ -2,27 +2,19 @@
  * @file
  * The unified, string-keyed configuration surface.
  *
- * The config surface had sprawled — th_init's two sizes,
- * th_set_placement/th_set_backend, one CLI flag per knob — and every
- * new knob (the streaming ones arrived with three) widened every
- * layer. This is the one parser all of them now route through:
+ * One parser for every configuration entry point:
  * th_configure("key", "value") and th_config_get() at the C boundary,
- * the generic --sched key=value CLI flag, and the legacy entry points
- * reimplemented as shims over it.
+ * the Fortran numeric selectors, and the generic --sched key=value
+ * CLI flag (with --placement/--backend as its named shorthands).
  *
  * The key set mirrors SchedulerConfig field-for-field in snake_case
  * (configKeys() enumerates it), values round-trip — configKeyValue()
- * emits exactly the tokens applyConfigKey() accepts — and a new
- * SchedulerConfig field needs only a row in the table in
- * config_keys.cc to be reachable from C, Fortran (numerically), and
- * the command line.
- *
- * Canonical names are snake_case. The camelCase spellings that
- * predate the audit (the SchedulerConfig field names themselves —
- * "streamMaxPending", "cacheBytes", "adapt.targetMiss", ...) are
- * accepted as read/write aliases: canonicalConfigKey() folds any key
- * with an uppercase letter to its snake_case form before dispatch.
- * configKeys() enumerates canonical names only.
+ * emits exactly the tokens applyConfigKey() accepts — and all three
+ * are derived from one descriptor table in config_keys.cc (name,
+ * field, parser/validator, the "want" text a bad value is told), so
+ * a new SchedulerConfig field needs only a row there to be reachable
+ * from C, Fortran (numerically), and the command line. Keys are
+ * matched exactly: a spelling not in the table is an unknown key.
  *
  * One prefixed family is process-global rather than per-scheduler:
  * the "profile.*" keys configure the continuous-profiling subsystem
@@ -47,9 +39,7 @@ struct SchedulerConfig;
  * Set the field @p key names on @p config from the string @p value.
  * Returns false — with a caller-facing message in @p error, when
  * non-null — on an unknown key or an unparsable value; @p config is
- * untouched on failure. Cross-field consistency (e.g. "backend"
- * keeping persistentPool in sync) is applied here, so the result is
- * what the legacy setters would have produced.
+ * untouched on failure.
  */
 bool applyConfigKey(SchedulerConfig &config, const std::string &key,
                     const std::string &value, std::string *error);
@@ -62,16 +52,8 @@ bool applyConfigKey(SchedulerConfig &config, const std::string &key,
 bool configKeyValue(const SchedulerConfig &config,
                     const std::string &key, std::string *out);
 
-/** Every canonical key, in the order they are documented. */
+/** Every key, in the order they are documented. */
 const std::vector<std::string> &configKeys();
-
-/**
- * Fold a legacy camelCase spelling to the canonical snake_case key
- * ("streamMaxPending" → "stream_max_pending"). Keys without an
- * uppercase letter come back unchanged, so canonical names pay one
- * scan and no allocation-shape change.
- */
-std::string canonicalConfigKey(const std::string &key);
 
 } // namespace lsched::threads
 

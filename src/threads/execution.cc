@@ -1,18 +1,47 @@
 /**
  * @file
- * Execution backends (execution.hh) and the selection-layer glue: the
- * worker thread-local marker fork() checks, the shared pool callback
- * every parallel backend routes through, and the --placement/
- * --backend/--sched CLI hook.
+ * The execution layer (execution.hh): the serial tour walk, the pool
+ * callbacks, runParallel() — the SMP extension of the locality
+ * scheduler (paper Section 7) — the worker thread-local marker fork()
+ * checks, and the --placement/--backend/--sched CLI hook.
+ *
+ * Bins are the unit of distribution: a worker always runs a whole bin
+ * so the per-bin working-set property carries over to each CPU's own
+ * cache. runParallel() orders the tour (grouping super-bins together
+ * under a hierarchical placement), arms the optional stall watchdog,
+ * and hands the tour to the persistent work-stealing pool
+ * (worker_pool.hh) — or, with backend=serial or one worker, to run()'s
+ * serial walk. All bin execution, fault containment (ErrorPolicy),
+ * tracing, and fail-point sites live in the one executeBin() routine
+ * (bin_exec.hh) both paths share.
+ *
+ * The tour monitor (threads/recovery.hh) supervises each parallel
+ * tour: SchedulerConfig::deadlineMillis arms a hard deadline whose
+ * expiry requests cooperative cancellation through the tour's
+ * CancelToken, and watchdogMillis a periodic stall report that — with
+ * watchdogAction == cancel — escalates to the same token. When the
+ * overload governor is degraded, pooled tours step down to the serial
+ * path until it recovers.
  */
 
 #include "threads/execution.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
+
+#include "obs/profile.hh"
 #include "support/cli.hh"
+#include "support/error.hh"
 #include "support/panic.hh"
 #include "threads/bin_exec.hh"
 #include "threads/config_keys.hh"
+#include "threads/placement.hh"
+#include "threads/recovery.hh"
+#include "threads/sched_obs.hh"
 #include "threads/scheduler.hh"
+#include "threads/worker_pool.hh"
 
 namespace lsched::threads
 {
@@ -23,13 +52,12 @@ namespace
 thread_local bool t_inParallelWorker = false;
 
 /**
- * The one pool callback (PoolJob::execute) behind every parallel
- * backend. The thread-local marker covers exactly the span where user
- * threads run, so fork() can reject the unsynchronized-ready-list
- * race from any pool worker, persistent or cold. Under
- * ErrorPolicy::Abort executeBin() does not contain: an escaped
- * exception hits the worker-thread boundary (std::terminate on a
- * helper; rethrown on the caller for worker 0).
+ * The pool callback (PoolJob::execute) behind every parallel tour.
+ * The thread-local marker covers exactly the span where user threads
+ * run, so fork() can reject the unsynchronized-ready-list race from
+ * any pool worker. Under ErrorPolicy::Abort executeBin() does not
+ * contain: an escaped exception hits the worker-thread boundary
+ * (std::terminate on a helper; rethrown on the caller for worker 0).
  */
 std::uint64_t
 poolExecute(Bin *bin, unsigned worker, void *ctxRaw)
@@ -48,117 +76,16 @@ poolCancelled(Bin *bin, void *ctxRaw)
         detail::noteCancelledBin(*fault, bin->id, 0, bin->threadCount);
 }
 
-/** Translate a TourSpec into the pool's job structure. */
-void
-initJob(detail::PoolJob &job, TourSpec &spec)
+/** Per-backend tour counters (sched.backend.<name>.tours). */
+obs::Counter &
+backendToursCounter(BackendKind kind)
 {
-    job.tour = spec.tour;
-    job.bins = spec.bins;
-    job.workers = spec.workers;
-    job.execute = &poolExecute;
-    job.ctx = spec.fault;
-    job.stop = spec.fault->policy == ErrorPolicy::StopTour
-                   ? &spec.fault->stop
-                   : nullptr;
-    job.cancel = spec.fault->cancel;
-    job.cancelledBin = &poolCancelled;
-    job.currentBin = spec.currentBin;
-    job.honorSuperBins = spec.honorSuperBins;
-    job.binDomain = spec.binDomain;
-    job.workerDomain = spec.workerDomain;
-    job.domains = spec.domains;
+    static obs::Counter *const counters[] = {
+        &obs::Registry::global().counter("sched.backend.serial.tours"),
+        &obs::Registry::global().counter("sched.backend.pooled.tours"),
+    };
+    return *counters[static_cast<std::size_t>(kind)];
 }
-
-/** The caller walks the tour alone, in order. */
-class SerialBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        // No ParallelWorkerScope: a serial tour runs on the caller,
-        // where nested fork() is a recoverable UsageError (or legal,
-        // in run()'s streaming mode) — not the parallel data race the
-        // marker exists to make fatal.
-        std::uint64_t executed = 0;
-        std::size_t next = 0;
-        for (; next < spec.bins; ++next) {
-            if (spec.fault->stopRequested())
-                break;
-            Bin *bin = spec.tour[next];
-            if (spec.currentBin) {
-                spec.currentBin[0].store(bin->id,
-                                         std::memory_order_relaxed);
-            }
-            executed += detail::executeBin(bin, *spec.fault, 0);
-            if (spec.currentBin) {
-                spec.currentBin[0].store(detail::kWorkerIdle,
-                                         std::memory_order_relaxed);
-            }
-        }
-        if (spec.fault->cancelRequested()) {
-            // Account the un-walked tail; the parallel backends do the
-            // same with their post-join deque sweep.
-            for (; next < spec.bins; ++next)
-                poolCancelled(spec.tour[next], spec.fault);
-        }
-        if (spec.currentBin) {
-            spec.currentBin[0].store(detail::kWorkerDone,
-                                     std::memory_order_relaxed);
-        }
-        return executed;
-    }
-
-    BackendKind kind() const override { return BackendKind::Serial; }
-};
-
-/** The persistent work-stealing pool (worker_pool.hh). */
-class PooledBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        LSCHED_ASSERT(spec.pool != nullptr,
-                      "pooled tour without a worker pool");
-        detail::PoolJob job;
-        initJob(job, spec);
-        spec.pool->runTour(job);
-        return job.executed.load(std::memory_order_relaxed);
-    }
-
-    BackendKind kind() const override { return BackendKind::Pooled; }
-};
-
-/**
- * Historic cold path: a throwaway pool, so every tour pays thread
- * creation/join — the baseline ablation_smp compares the warm pool
- * against. The pool's lifetime counters fold into the scheduler's
- * retired-pool statistics, success or throw.
- */
-class ColdSpawnBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        LSCHED_ASSERT(spec.retiredStats != nullptr,
-                      "cold-spawn tour without a stats sink");
-        detail::PoolJob job;
-        initJob(job, spec);
-        WorkerPool cold(spec.pinWorkers, spec.pinPlan);
-        try {
-            cold.runTour(job);
-        } catch (...) {
-            *spec.retiredStats += cold.stats();
-            throw;
-        }
-        *spec.retiredStats += cold.stats();
-        return job.executed.load(std::memory_order_relaxed);
-    }
-
-    BackendKind kind() const override { return BackendKind::ColdSpawn; }
-};
 
 std::vector<std::pair<std::string, std::string>> g_schedOverrides;
 
@@ -245,9 +172,27 @@ schedOverrides()
     return g_schedOverrides;
 }
 
-} // namespace detail
+std::uint64_t
+runSerialTour(const std::vector<Bin *> &tour, FaultCtx &fault)
+{
+    // No ParallelWorkerScope: a serial tour runs on the caller, where
+    // nested fork() is a recoverable UsageError (or legal, in run()'s
+    // streaming mode) — not the parallel data race the marker exists
+    // to make fatal.
+    std::uint64_t executed = 0;
+    std::size_t next = 0;
+    for (; next < tour.size() && !fault.stopRequested(); ++next)
+        executed += executeBin(tour[next], fault, 0);
+    if (fault.cancelRequested()) {
+        // Account the un-walked tail, as the pool does with its
+        // post-join deque sweep.
+        for (; next < tour.size(); ++next)
+            poolCancelled(tour[next], &fault);
+    }
+    return executed;
+}
 
-ExecutionBackend::~ExecutionBackend() = default;
+} // namespace detail
 
 const char *
 backendName(BackendKind kind)
@@ -257,8 +202,6 @@ backendName(BackendKind kind)
         return "serial";
       case BackendKind::Pooled:
         return "pooled";
-      case BackendKind::ColdSpawn:
-        return "coldspawn";
     }
     return "?";
 }
@@ -270,39 +213,206 @@ tryBackendFromName(const std::string &name, BackendKind *out)
         *out = BackendKind::Serial;
     else if (name == "pooled")
         *out = BackendKind::Pooled;
-    else if (name == "coldspawn")
-        *out = BackendKind::ColdSpawn;
     else
         return false;
     return true;
 }
 
-BackendKind
-backendFromName(const std::string &name)
+std::uint64_t
+LocalityScheduler::runParallel(unsigned workers, bool keep)
 {
-    BackendKind kind;
-    if (!tryBackendFromName(name, &kind)) {
-        LSCHED_FATAL("unknown execution backend '", name,
-                     "' (want serial|pooled|coldspawn)");
+    if (stream_) {
+        throw lsched::UsageError("runParallel() during an active "
+                                 "stream; close it with streamEnd() "
+                                 "first");
     }
-    return kind;
-}
+    LSCHED_ASSERT(!running_, "recursive run()");
+    if (workers == 0)
+        workers = std::thread::hardware_concurrency();
+    if (workers > 1 && config_.backend != BackendKind::Serial &&
+        governor_.degraded()) {
+        // Graceful degradation: while the governor is degraded, the
+        // tour steps down to the serial path (which still arms the
+        // deadline) instead of fanning out over a pool that is not
+        // keeping up. run() feeds the governor, so sustained healthy
+        // tours step back up.
+        recovery_.degradedTours.fetch_add(1, std::memory_order_relaxed);
+        if (obs::metricsOn())
+            detail::schedInstruments().recoverDegradedTours->add();
+        LSCHED_WARN("overload governor degraded: runParallel(", workers,
+                    ") stepping down to the serial path");
+        LSCHED_TRACE_EVENT(
+            obs::EventType::LoadShed, 0, pendingThreads_, workers);
+        workers = 1;
+    }
+    if (workers <= 1 || config_.backend == BackendKind::Serial) {
+        // One worker — or the serial backend, whose tour is exactly
+        // run()'s ordered walk (no helpers, so no watchdog either).
+        if (obs::metricsOn() && config_.backend == BackendKind::Serial)
+            backendToursCounter(BackendKind::Serial).add();
+        return run(keep);
+    }
 
-ExecutionBackend &
-executionBackend(BackendKind kind)
-{
-    static SerialBackend serial;
-    static PooledBackend pooled;
-    static ColdSpawnBackend coldSpawn;
-    switch (kind) {
-      case BackendKind::Serial:
-        return serial;
-      case BackendKind::Pooled:
-        return pooled;
-      case BackendKind::ColdSpawn:
-        return coldSpawn;
+    running_ = true;
+    nestedForkOk_ = false;
+    lastFaults_.clear();
+    lastFaultsTotal_ = 0;
+
+    detail::RunGuard guard{*this, nullptr};
+    detail::FaultCtx ctx(config_.onError, &lastFaults_);
+    ctx.recovery = &recovery_;
+    CancelToken cancelToken;
+    if (config_.deadlineMillis > 0 ||
+        (config_.watchdogMillis > 0 &&
+         config_.watchdogAction == WatchdogAction::Cancel)) {
+        ctx.cancel = &cancelToken;
     }
-    LSCHED_PANIC("unhandled BackendKind ", static_cast<int>(kind));
+
+    std::vector<Bin *> tour =
+        orderBins(config_.tour, readyBins(), config_.dims);
+    const bool superBins = placement_->hierarchical();
+    if (superBins)
+        tour = groupBySuperBins(std::move(tour));
+
+    // Topology-aware domain partition: with a resolved cache tree that
+    // exposes more than one L2 group, deal super-bins across cache
+    // domains and split the workers into matching teams, so each
+    // super-bin's blocks execute on workers pinned inside one domain.
+    // Gated on pinWorkers — without pinning the teams would be
+    // arbitrary thread subsets with no cache in common.
+    std::vector<std::uint32_t> binDomain;
+    std::vector<std::uint32_t> workerDomain;
+    std::uint32_t domains = 0;
+    lastTourDomains_ = 0;
+    lastTourDomainWorkers_ = 0;
+    if (superBins && topo_ && topo_->l2Groups() > 1 && workers > 1 &&
+        config_.pinWorkers) {
+        domains = std::min<std::uint32_t>(topo_->l2Groups(), workers);
+        // Stable, so super-bin groups stay contiguous inside their
+        // domain's run — the pool's partition requires one contiguous
+        // range per domain.
+        std::stable_sort(
+            tour.begin(), tour.end(),
+            [domains](const Bin *a, const Bin *b) {
+                return TopologyPlacement::domainOf(a->superBin, a->id,
+                                                   domains) <
+                       TopologyPlacement::domainOf(b->superBin, b->id,
+                                                   domains);
+            });
+        binDomain.reserve(tour.size());
+        for (const Bin *bin : tour) {
+            binDomain.push_back(TopologyPlacement::domainOf(
+                bin->superBin, bin->id, domains));
+        }
+        workerDomain.resize(workers);
+        for (unsigned w = 0; w < workers; ++w)
+            workerDomain[w] = w % domains;
+        lastTourDomains_ = domains;
+        lastTourDomainWorkers_ = (workers + domains - 1) / domains;
+    }
+
+    LSCHED_TRACE_EVENT(obs::EventType::RunBegin, pendingThreads_,
+                       table_.binCount(), workers);
+    obs::profileNoteEpoch();
+    if (obs::metricsOn()) {
+        detail::schedInstruments().runs->add();
+        backendToursCounter(config_.backend).add();
+        // Hops of the nominal tour; interleaving across workers is
+        // visible in the trace, not the histogram.
+        detail::recordTourHops(tour, config_.dims);
+    }
+
+    const std::unique_ptr<std::atomic<std::int64_t>[]> currentBin(
+        new std::atomic<std::int64_t>[workers]);
+    for (unsigned w = 0; w < workers; ++w)
+        currentBin[w].store(detail::kWorkerIdle,
+                            std::memory_order_relaxed);
+
+    if (!workerPool_) {
+        workerPool_ = std::make_unique<WorkerPool>(
+            config_.pinWorkers,
+            topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
+    }
+    detail::PoolJob job;
+    job.tour = tour.data();
+    job.bins = tour.size();
+    job.workers = workers;
+    job.execute = &poolExecute;
+    job.ctx = &ctx;
+    job.stop = ctx.policy == ErrorPolicy::StopTour ? &ctx.stop : nullptr;
+    job.cancel = ctx.cancel;
+    job.cancelledBin = &poolCancelled;
+    job.currentBin = currentBin.get();
+    job.honorSuperBins = superBins;
+    if (domains > 0) {
+        job.binDomain = binDomain.data();
+        job.workerDomain = workerDomain.data();
+        job.domains = domains;
+    }
+
+    {
+        detail::TourMonitorSpec mspec;
+        mspec.deadlineMillis = config_.deadlineMillis;
+        mspec.watchdogMillis = config_.watchdogMillis;
+        mspec.watchdogAction = config_.watchdogAction;
+        mspec.cancel = &cancelToken;
+        mspec.recovery = &recovery_;
+        mspec.currentBin = currentBin.get();
+        mspec.workers = workers;
+        detail::TourMonitor monitor(mspec);
+        workerPool_->runTour(job);
+    }
+    const std::uint64_t executed =
+        job.executed.load(std::memory_order_relaxed);
+
+    const bool cancelled = ctx.cancelRequested();
+    if (governor_.enabled())
+        governor_.observe(cancelled);
+    const bool faultedStop = ctx.first != nullptr;
+    if (!keep && !faultedStop) {
+        for (Bin *bin : tour) {
+            pool_.recycleChain(bin->groupsHead);
+            bin->clearGroups();
+            bin->readyNext = nullptr;
+            bin->onReadyList = false;
+        }
+        readyHead_ = nullptr;
+        readyTail_ = nullptr;
+        pendingThreads_ = 0;
+    }
+
+    executedThreads_ += executed;
+    lastFaultsTotal_ = ctx.totalFaults;
+    faultedThreads_ += lastFaultsTotal_;
+    if (faultedStop) {
+        // StopTour: all workers have finished the tour; rethrow the
+        // first user exception exactly once on the caller. The guard's
+        // unwind path recycles every bin and zeroes the pending count.
+        std::rethrow_exception(ctx.first);
+    }
+    if (cancelled && config_.onError != ErrorPolicy::ContinueAndCollect) {
+        // Deadline/watchdog cancellation under Abort/StopTour: all
+        // workers have joined and the dropped work is accounted;
+        // surface a recoverable error on the caller.
+        throw DeadlineError(lsched::detail::concatMessage(
+            "parallel tour cancelled (",
+            cancelReasonName(cancelToken.why()), ") after ",
+            cancelToken.why() == CancelReason::Watchdog
+                ? config_.watchdogMillis
+                : config_.deadlineMillis,
+            " ms: ",
+            ctx.cancelledBins.load(std::memory_order_relaxed),
+            " bin(s), ",
+            ctx.cancelledThreads.load(std::memory_order_relaxed),
+            " thread(s) dropped"));
+    }
+    // Tour boundary: let the adaptive placement re-derive its block
+    // dims from this tour's profiler feedback before the next run.
+    placement_->maybeRetune();
+    placeHot_ = placement_->hotPolicy();
+    guard.commit();
+    LSCHED_TRACE_EVENT(obs::EventType::RunEnd, executed);
+    return executed;
 }
 
 } // namespace lsched::threads

@@ -3,36 +3,32 @@
  * The execution layer: *how* an ordered bin tour is run.
  *
  * Complementing the placement layer (placement.hh — where a fork
- * goes), an ExecutionBackend takes a tour the scheduler has already
- * ordered and executes every bin exactly once, all of them through
- * the one executeBin() routine (bin_exec.hh):
+ * goes), a tour the scheduler has already ordered runs every bin
+ * exactly once, all of them through the one executeBin() routine
+ * (bin_exec.hh), on one of two backends:
  *
- *  - SerialBackend — one worker (the caller) walks the tour in order;
- *    also the body of run()'s ordered branch.
- *  - PooledBackend — the persistent work-stealing pool
- *    (worker_pool.hh): workers parked between tours, occupancy-
- *    weighted contiguous partition, tail stealing.
- *  - ColdSpawnBackend — the historic spawn-per-tour baseline: a
- *    throwaway WorkerPool whose statistics fold into the scheduler's
- *    retired-pool totals.
+ *  - serial — the caller walks the tour in order (runSerialTour(),
+ *    the body of run()'s ordered branch);
+ *  - pooled — the persistent work-stealing pool (worker_pool.hh):
+ *    workers parked between tours, occupancy-weighted contiguous
+ *    partition, tail stealing. runParallel() (defined in
+ *    execution.cc) builds the pool job and dispatches it.
  *
- * Backends are stateless singletons; all per-tour state travels in
- * the TourSpec. runParallel() (and run()) reduce to building a spec
- * and dispatching — policy and mechanism meet only here.
+ * SchedulerConfig::backend picks between them for runParallel() and
+ * streamBegin(); there is no backend object — the two call sites
+ * branch on the kind.
  */
 
 #ifndef LSCHED_THREADS_EXECUTION_HH
 #define LSCHED_THREADS_EXECUTION_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "threads/bin.hh"
 #include "threads/fault.hh"
-#include "threads/placement.hh"
-#include "threads/worker_pool.hh"
 
 namespace lsched::threads
 {
@@ -44,77 +40,25 @@ enum class BackendKind : std::uint8_t
     Serial,
     /** Persistent work-stealing worker pool (the default). */
     Pooled,
-    /** Spawn-and-join a throwaway pool per tour (baseline). */
-    ColdSpawn,
 };
 
-/** Printable name of a backend ("serial", "pooled", "coldspawn"). */
+/** Printable name of a backend ("serial", "pooled"). */
 const char *backendName(BackendKind kind);
 
 /** Parse a backend name; false (and *out untouched) when unknown. */
 bool tryBackendFromName(const std::string &name, BackendKind *out);
 
-/** Parse a backend name; fatal on an unknown one (CLI path). */
-BackendKind backendFromName(const std::string &name);
-
-/** Everything one tour hands its backend. */
-struct TourSpec
-{
-    /** The ordered bin tour (owned by the caller, outlives the tour). */
-    Bin *const *tour = nullptr;
-    std::size_t bins = 0;
-    /** Workers to distribute over (>= 1; the caller is worker 0). */
-    unsigned workers = 1;
-    /** Shared fault state; its policy selects containment. */
-    detail::FaultCtx *fault = nullptr;
-    /** Pin helper threads over CPUs (ColdSpawn pool construction). */
-    bool pinWorkers = false;
-    /** Never split a super-bin across workers (TopologyPlacement;
-     *  the tour must already be grouped — see groupBySuperBins). */
-    bool honorSuperBins = false;
-    /**
-     * Cache-domain affinity (topology-aware tours; all unset when the
-     * topology is flat or pinning is off): binDomain[i] is the L2
-     * domain of tour[i] — the tour must already be sorted so each
-     * domain's bins are one contiguous run — and workerDomain[w] the
-     * domain worker w is pinned into; both sized by the caller and
-     * outliving the tour. domains is the active domain count.
-     */
-    const std::uint32_t *binDomain = nullptr;
-    const std::uint32_t *workerDomain = nullptr;
-    std::uint32_t domains = 0;
-    /** Domain-major CPU order for ColdSpawn pinning (empty = id %
-     *  cpus legacy order); see CacheTopology::pinPlan(). */
-    std::vector<unsigned> pinPlan;
-    /** Persistent pool to run on (Pooled; null otherwise). */
-    WorkerPool *pool = nullptr;
-    /** Where a throwaway pool's stats fold (ColdSpawn; null else). */
-    WorkerPoolStats *retiredStats = nullptr;
-    /** Watchdog slots, one per worker; may be null. */
-    std::atomic<std::int64_t> *currentBin = nullptr;
-};
-
-/** Runs an ordered tour; every bin through executeBin() exactly once. */
-class ExecutionBackend
-{
-  public:
-    virtual ~ExecutionBackend();
-
-    /** Execute @p spec's tour; returns the threads completed. */
-    virtual std::uint64_t runTour(TourSpec &spec) = 0;
-
-    /** Which backend this is. */
-    virtual BackendKind kind() const = 0;
-
-    /** Printable backend name. */
-    const char *name() const { return backendName(kind()); }
-};
-
-/** The (stateless, process-shared) backend instance for @p kind. */
-ExecutionBackend &executionBackend(BackendKind kind);
-
 namespace detail
 {
+
+/**
+ * Walk @p tour in order on the caller, every bin through executeBin()
+ * as worker 0, stopping at the first stop/cancel request; a cancelled
+ * walk accounts the un-walked tail (noteCancelledBin) exactly as the
+ * pool's post-join sweep does. Returns the threads completed.
+ */
+std::uint64_t runSerialTour(const std::vector<Bin *> &tour,
+                            FaultCtx &fault);
 
 /**
  * CLI overrides installed by --placement/--backend/--sched

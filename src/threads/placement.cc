@@ -52,18 +52,6 @@ tryPlacementFromName(const std::string &name, PlacementKind *out)
     return true;
 }
 
-PlacementKind
-placementFromName(const std::string &name)
-{
-    PlacementKind kind;
-    if (!tryPlacementFromName(name, &kind)) {
-        LSCHED_FATAL(
-            "unknown placement policy '", name,
-            "' (want blockhash|roundrobin|hierarchical|adaptive)");
-    }
-    return kind;
-}
-
 PlacementDecision
 TopologyPlacement::place(std::span<const Hint> hints)
 {

@@ -73,9 +73,6 @@ const char *placementName(PlacementKind kind);
 /** Parse a placement name; false (and *out untouched) when unknown. */
 bool tryPlacementFromName(const std::string &name, PlacementKind *out);
 
-/** Parse a placement name; fatal on an unknown one (CLI path). */
-PlacementKind placementFromName(const std::string &name);
-
 /** Where one fork lands. */
 struct PlacementDecision
 {

@@ -218,15 +218,6 @@ validated(SchedulerConfig config,
         if (!applyConfigKey(config, key, value, &error))
             throw ConfigError(error);
     }
-    // The legacy persistentPool knob and the backend enum describe the
-    // same choice; keep them mutually consistent, with the backend
-    // winning when it was set away from the default.
-    if (config.backend == BackendKind::ColdSpawn)
-        config.persistentPool = false;
-    else if (config.backend == BackendKind::Pooled &&
-             !config.persistentPool)
-        config.backend = BackendKind::ColdSpawn;
-
     if (config.dims < 1 || config.dims > kMaxDims) {
         throw ConfigError(lsched::detail::concatMessage(
             "dims must be in [1, ", kMaxDims, "], got ", config.dims));
@@ -343,8 +334,8 @@ LocalityScheduler::configure(const SchedulerConfig &config)
     readyHead_ = nullptr;
     readyTail_ = nullptr;
     // Retire the worker pool so pool-affecting knobs (pinWorkers,
-    // persistentPool) take effect on the next parallel tour; its
-    // lifetime counters carry over.
+    // topology) take effect on the next parallel tour; its lifetime
+    // counters carry over.
     if (workerPool_) {
         retiredPoolStats_ += workerPool_->stats();
         workerPool_.reset();
@@ -555,18 +546,11 @@ LocalityScheduler::run(bool keep)
             orderBins(config_.tour, readyBins(), config_.dims);
         if (obs::metricsOn())
             detail::recordTourHops(tour, config_.dims);
-        // The ordered tour is exactly a one-worker tour: delegate to
-        // the serial execution backend so this path and runParallel()
-        // share one mechanism.
-        TourSpec spec;
-        spec.tour = tour.data();
-        spec.bins = tour.size();
-        spec.workers = 1;
-        spec.fault = &ctx;
-        executed +=
-            executionBackend(BackendKind::Serial).runTour(spec);
+        // The ordered tour is exactly a one-worker tour: the serial
+        // backend's walk (execution.hh).
+        executed += detail::runSerialTour(tour, ctx);
         // A cancelled ContinueAndCollect run returns normally, so its
-        // remainder (already accounted by the backend's sweep) must be
+        // remainder (already accounted by the walk's sweep) must be
         // recycled here like any completed tour's.
         const bool cancelledButReturning =
             ctx.cancelRequested() &&
@@ -686,11 +670,6 @@ LocalityScheduler::streamEnd()
     // adaptive placement before the next run begins.
     placement_->maybeRetune();
     placeHot_ = placement_->hotPolicy();
-    if (!config_.persistentPool && workerPool_) {
-        // Cold-spawn semantics: no threads stay parked between runs.
-        retiredPoolStats_ += workerPool_->stats();
-        workerPool_.reset();
-    }
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, s.executed);
     if (abortError)
         std::rethrow_exception(abortError);

@@ -80,10 +80,12 @@ struct SchedulerConfig
     PlacementKind placement = PlacementKind::BlockHash;
     /**
      * Parallel execution backend (execution.hh). Pooled is the
-     * persistent work-stealing pool; ColdSpawn the spawn-per-tour
-     * baseline (implies persistentPool == false); Serial makes
-     * runParallel() run the tour on the caller alone. Overridable per
-     * process with the --backend CLI flag.
+     * persistent work-stealing pool: OS threads are created once, at
+     * the first parallel tour or stream, parked between tours, and
+     * reused until the scheduler is destroyed or reconfigured. Serial
+     * makes runParallel() run the tour on the caller alone (and a
+     * stream drain on its producers). Overridable per process with
+     * the --backend CLI flag.
      */
     BackendKind backend = BackendKind::Pooled;
     /** RoundRobin placement: bins cycled over (0 = policy default). */
@@ -159,14 +161,6 @@ struct SchedulerConfig
     /** Consecutive healthy epochs before a degraded scheduler steps
      *  back up. */
     unsigned recoverEpochs = 2;
-    /**
-     * Keep runParallel()'s workers parked between tours (the default):
-     * OS threads are created once, at the first parallel tour, and
-     * reused until the scheduler is destroyed or reconfigured. false
-     * restores the historic cold path — spawn and join a fresh set of
-     * threads every tour — kept for comparison (bench/ablation_smp).
-     */
-    bool persistentPool = true;
     /**
      * Pin pool workers round-robin over CPUs (Linux; elsewhere a
      * no-op). Keeps a worker's bins — and their cached working sets —
@@ -371,7 +365,7 @@ class LocalityScheduler
      * fatal, naming the restriction. Exceptions from user threads are
      * handled per config().onError; config().watchdogMillis arms a
      * stall watchdog. Returns the number of threads executed.
-     * Implemented in parallel_scheduler.cc.
+     * Implemented in execution.cc.
      */
     std::uint64_t runParallel(unsigned workers, bool keep = false);
 
@@ -453,9 +447,9 @@ class LocalityScheduler
 
     /**
      * Lifetime worker-pool statistics, including pools already retired
-     * (cold-spawn tours, reconfiguration). threadsSpawned stays flat
-     * across warm tours — the observable proof that repeated
-     * runParallel() calls create no OS threads after the first.
+     * by reconfiguration. threadsSpawned stays flat across warm tours
+     * — the observable proof that repeated runParallel() calls create
+     * no OS threads after the first.
      */
     WorkerPoolStats workerPoolStats() const
     {
@@ -491,15 +485,6 @@ class LocalityScheduler
      * changed; always false for non-adaptive placements.
      */
     bool pollAdaptivePlacement();
-
-    /**
-     * Arm (or disarm, ms == 0) the tour/epoch deadline without a full
-     * reconfigure — the th_set_deadline C shim. Takes effect at the
-     * next run()/runParallel()/streamBegin(); an in-flight tour keeps
-     * the deadline it was armed with. Not thread-safe against a
-     * concurrent configure().
-     */
-    void setDeadlineMillis(std::uint32_t ms) { config_.deadlineMillis = ms; }
 
     /** Current overload-governor state (Healthy when disabled). */
     RecoveryState recoveryState() const { return governor_.state(); }
@@ -556,7 +541,7 @@ class LocalityScheduler
     GroupPool pool_;
     /** Persistent parallel workers; created at first runParallel(). */
     std::unique_ptr<WorkerPool> workerPool_;
-    /** Stats of pools retired by cold tours or reconfiguration. */
+    /** Stats of pools retired by reconfiguration. */
     WorkerPoolStats retiredPoolStats_;
 
     Bin *readyHead_ = nullptr;

@@ -45,8 +45,8 @@
  *    for workloads that fork from user threads the bound is a soft
  *    target, exact otherwise.
  *
- * Draining is the fourth execution mode next to Serial/Pooled/
- * ColdSpawn tours: there is no tour to partition — work arrives
+ * Draining is the third execution mode next to serial and pooled
+ * tours: there is no tour to partition — work arrives
  * incrementally — so the pool's helpers loop on the sealed queue
  * (WorkerPool::beginStream) and every chain still runs through THE
  * one executeBin() routine (bin_exec.hh), keeping ErrorPolicy

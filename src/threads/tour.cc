@@ -4,24 +4,23 @@
 #include <cstdint>
 #include <limits>
 
-#include "support/panic.hh"
-
 namespace lsched::threads
 {
 
-TourPolicy
-tourPolicyFromName(const std::string &name)
+bool
+tryTourFromName(const std::string &name, TourPolicy *out)
 {
     if (name == "creation")
-        return TourPolicy::CreationOrder;
-    if (name == "snake")
-        return TourPolicy::SortedSnake;
-    if (name == "nearest")
-        return TourPolicy::NearestNeighbor;
-    if (name == "hilbert")
-        return TourPolicy::Hilbert;
-    LSCHED_FATAL("unknown tour policy '", name,
-                 "' (want creation|snake|nearest|hilbert)");
+        *out = TourPolicy::CreationOrder;
+    else if (name == "snake")
+        *out = TourPolicy::SortedSnake;
+    else if (name == "nearest")
+        *out = TourPolicy::NearestNeighbor;
+    else if (name == "hilbert")
+        *out = TourPolicy::Hilbert;
+    else
+        return false;
+    return true;
 }
 
 const char *

@@ -34,8 +34,9 @@ enum class TourPolicy
     Hilbert,
 };
 
-/** Parse a tour name ("creation", "snake", "nearest", "hilbert"). */
-TourPolicy tourPolicyFromName(const std::string &name);
+/** Parse a tour name ("creation", "snake", "nearest", "hilbert");
+ *  false (and *out untouched) when unknown. */
+bool tryTourFromName(const std::string &name, TourPolicy *out);
 
 /** Printable name of a policy. */
 const char *tourPolicyName(TourPolicy policy);

@@ -244,10 +244,8 @@ struct StreamJob
 
 /**
  * The persistent pool. One instance per LocalityScheduler, created at
- * the first runParallel() and reused until the scheduler dies
- * (SchedulerConfig::persistentPool == false instead builds a
- * throwaway pool per tour — the historic cold-spawn behavior, kept
- * for comparison benchmarks).
+ * the first runParallel() or stream and reused until the scheduler
+ * dies or is reconfigured; no code path spawns threads per tour.
  *
  * Thread model: runTour() is called from one thread at a time (the
  * scheduler's running_ flag already enforces this); the caller

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -209,7 +210,7 @@ TEST_F(CApiTest, SetPlacementAndBackendSelectAtRuntime)
     EXPECT_EQ(defaults.placement, 0) << "blockhash by default";
     EXPECT_EQ(defaults.backend, 1) << "pooled by default";
 
-    EXPECT_EQ(th_set_placement("roundrobin"), 0);
+    EXPECT_EQ(th_configure("placement", "roundrobin"), 0);
     EXPECT_EQ(th_stats().placement, 1);
     // Round-robin really is in charge now: identical hints spread.
     for (int i = 0; i < 8; ++i)
@@ -219,25 +220,23 @@ TEST_F(CApiTest, SetPlacementAndBackendSelectAtRuntime)
     th_run(0);
     EXPECT_EQ(g_order.size(), 8u);
 
-    EXPECT_EQ(th_set_backend("serial"), 0);
+    EXPECT_EQ(th_configure("backend", "serial"), 0);
     EXPECT_EQ(th_stats().backend, 0);
-    EXPECT_EQ(th_set_backend("coldspawn"), 0);
-    EXPECT_EQ(th_stats().backend, 2);
 
     th_clear_error();
-    EXPECT_EQ(th_set_placement("bogus"), -1);
+    EXPECT_EQ(th_configure("placement", "bogus"), -1);
     ASSERT_NE(th_last_error(), nullptr);
     th_clear_error();
-    EXPECT_EQ(th_set_backend("bogus"), -1);
+    EXPECT_EQ(th_configure("backend", "bogus"), -1);
     ASSERT_NE(th_last_error(), nullptr);
     th_clear_error();
-    EXPECT_EQ(th_set_placement(nullptr), -1);
-    EXPECT_EQ(th_set_backend(nullptr), -1);
+    EXPECT_EQ(th_configure("placement", nullptr), -1);
+    EXPECT_EQ(th_configure("backend", nullptr), -1);
     th_clear_error();
 
     // Restore the global scheduler for the other fixtures.
-    EXPECT_EQ(th_set_placement("blockhash"), 0);
-    EXPECT_EQ(th_set_backend("pooled"), 0);
+    EXPECT_EQ(th_configure("placement", "blockhash"), 0);
+    EXPECT_EQ(th_configure("backend", "pooled"), 0);
     EXPECT_EQ(th_stats().placement, 0);
     EXPECT_EQ(th_stats().backend, 1);
 }
@@ -336,27 +335,64 @@ TEST_F(CApiTest, ConfigKeyEnumerationMatchesTheTable)
     EXPECT_EQ(tiny[2], '\0');
 }
 
-TEST_F(CApiTest, CamelCaseConfigAliasesReadAndWrite)
+TEST_F(CApiTest, RemovedConfigSpellingsAreRejected)
 {
-    // The pre-audit camelCase spellings stay live as aliases of the
-    // canonical snake_case keys, on both the write and read paths.
-    ASSERT_EQ(th_configure("streamMaxPending", "7"), 0)
-        << th_last_error();
-    char value[64];
-    ASSERT_GE(th_config_get("stream_max_pending", value,
-                            sizeof(value)), 0);
-    EXPECT_STREQ(value, "7");
-    ASSERT_GE(th_config_get("streamMaxPending", value, sizeof(value)),
-              0);
-    EXPECT_STREQ(value, "7");
-    ASSERT_EQ(th_configure("adapt.targetMiss", "0.125"), 0)
-        << th_last_error();
-    ASSERT_GE(th_config_get("adapt.target_miss", value,
-                            sizeof(value)), 0);
-    EXPECT_STREQ(value, "0.125");
-    // configKeys() enumerates canonical names only — no camelCase.
-    for (const std::string &key : lsched::threads::configKeys())
-        EXPECT_EQ(key, lsched::threads::canonicalConfigKey(key));
+    // Keys match exactly: the camelCase spelling of every multi-word
+    // key (its SchedulerConfig field name), the persistent_pool switch
+    // and the coldspawn backend are all refused with -1 and a recorded
+    // error, on the write and the read path, and the configuration is
+    // left exactly as it was.
+    const std::vector<std::string> &keys = lsched::threads::configKeys();
+    const auto snapshot = [&] {
+        std::vector<std::string> values;
+        char value[256];
+        for (const std::string &key : keys) {
+            EXPECT_GE(th_config_get(key.c_str(), value, sizeof(value)),
+                      0)
+                << key;
+            values.emplace_back(value);
+        }
+        return values;
+    };
+    const std::vector<std::string> before = snapshot();
+    std::vector<std::pair<std::string, std::string>> removed = {
+        {"persistent_pool", "0"},
+        {"persistent_pool", "1"},
+        {"backend", "coldspawn"},
+    };
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        std::string camel;
+        bool upper = false;
+        for (const char ch : keys[i]) {
+            if (ch == '_') {
+                upper = true;
+                continue;
+            }
+            camel += upper ? static_cast<char>(ch - 'a' + 'A') : ch;
+            upper = false;
+        }
+        if (camel != keys[i])
+            removed.emplace_back(camel, before[i]);
+    }
+    ASSERT_GT(removed.size(), 20u);
+    char value[256];
+    for (const auto &[key, setting] : removed) {
+        th_clear_error();
+        EXPECT_EQ(th_configure(key.c_str(), setting.c_str()), -1)
+            << key << "=" << setting;
+        ASSERT_NE(th_last_error(), nullptr) << key;
+        if (key != "backend") {
+            EXPECT_NE(std::string(th_last_error()).find(
+                          "unknown config key"),
+                      std::string::npos)
+                << th_last_error();
+            EXPECT_EQ(th_config_get(key.c_str(), value, sizeof(value)),
+                      -1)
+                << key;
+        }
+    }
+    th_clear_error();
+    EXPECT_EQ(snapshot(), before);
 }
 
 TEST_F(CApiTest, MetricSurfaceMirrorsTheFrozenStatsStruct)
@@ -479,21 +515,24 @@ TEST_F(CApiTest, MetricEnumerationRoundTripsEveryName)
 
 TEST_F(CApiTest, LegacySettersAreConfigureShims)
 {
-    // th_set_backend("coldspawn") always dropped the persistent pool;
-    // the shim path must keep that coupling, observably through
-    // th_config_get.
-    ASSERT_EQ(th_set_backend("coldspawn"), 0);
-    char value[8];
-    ASSERT_GT(th_config_get("persistent_pool", value, sizeof(value)),
-              0);
-    EXPECT_STREQ(value, "0");
+    // The Fortran numeric selectors are shims over th_configure,
+    // observably through th_config_get.
+    const int serial = 0, pooled = 1, retired = 2;
+    char value[16];
+    th_set_backend_(&serial);
+    ASSERT_GT(th_config_get("backend", value, sizeof(value)), 0);
+    EXPECT_STREQ(value, "serial");
+    th_clear_error();
+    th_set_backend_(&retired);
+    EXPECT_NE(th_last_error(), nullptr) << "kind 2 is gone";
+    th_clear_error();
+    ASSERT_GT(th_config_get("backend", value, sizeof(value)), 0);
+    EXPECT_STREQ(value, "serial");
+    th_set_backend_(&pooled);
+    ASSERT_GT(th_config_get("backend", value, sizeof(value)), 0);
+    EXPECT_STREQ(value, "pooled");
 
-    ASSERT_EQ(th_configure("backend", "pooled"), 0);
-    ASSERT_GT(th_config_get("persistent_pool", value, sizeof(value)),
-              0);
-    EXPECT_STREQ(value, "1");
-
-    // And th_init is a shim over block_bytes/hash_buckets.
+    // th_init sets block_bytes/hash_buckets in one reconfiguration.
     th_init(8192, 64);
     ASSERT_GT(th_config_get("block_bytes", value, sizeof(value)), 0);
     EXPECT_STREQ(value, "8192");
@@ -541,18 +580,23 @@ TEST_F(CApiTest, StreamSessionThroughTheCBoundary)
 
 TEST_F(CApiTest, SetDeadlineIsAConfigureShim)
 {
-    ASSERT_EQ(th_set_deadline(250), 0);
+    // Fortran mirror: INTEGER*8 by reference; 0 disarms.
+    const long long armed = 250;
+    th_set_deadline_(&armed);
     char value[16];
     ASSERT_GT(th_config_get("deadline_millis", value, sizeof(value)),
               0);
     EXPECT_STREQ(value, "250");
 
     th_clear_error();
-    EXPECT_EQ(th_set_deadline(-1), -1);
+    const long long negative = -1;
+    th_set_deadline_(&negative);
     ASSERT_NE(th_last_error(), nullptr);
     th_clear_error();
+    ASSERT_GT(th_config_get("deadline_millis", value, sizeof(value)),
+              0);
+    EXPECT_STREQ(value, "250");
 
-    // Fortran mirror: INTEGER*8 by reference; 0 disarms.
     const long long off = 0;
     th_set_deadline_(&off);
     ASSERT_GT(th_config_get("deadline_millis", value, sizeof(value)),
@@ -568,7 +612,7 @@ TEST_F(CApiTest, DeadlineSurfacesAsRecordedErrorAndRecoveryStats)
     // through th_last_error (C callers cannot catch DeadlineError)
     // and the appended th_stats recovery fields record it.
     const th_stats_t before = th_stats();
-    ASSERT_EQ(th_set_deadline(50), 0);
+    ASSERT_EQ(th_configure("deadline_millis", "50"), 0);
     ASSERT_EQ(th_failpoint_arm("sched.bin.execute", "stall=150"), 0);
     for (std::uintptr_t i = 0; i < 32; ++i) {
         th_fork(&record, nullptr, reinterpret_cast<void *>(i),
@@ -589,7 +633,7 @@ TEST_F(CApiTest, DeadlineSurfacesAsRecordedErrorAndRecoveryStats)
               before.recover_cancelled_threads);
     EXPECT_EQ(after.recover_state, 0) << "governor disabled: healthy";
     EXPECT_EQ(th_default_scheduler().pendingThreads(), 0u);
-    ASSERT_EQ(th_set_deadline(0), 0);
+    ASSERT_EQ(th_configure("deadline_millis", "0"), 0);
 }
 
 TEST_F(CApiTest, TraceControlsWriteFiles)

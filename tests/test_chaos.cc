@@ -148,7 +148,7 @@ TEST(Chaos, SeededFaultScheduleKeepsTheInvariants)
     for (int round = 0; round < kRounds; ++round) {
         const bool streaming = rng.nextBelow(2) == 1;
         SchedulerConfig c = base;
-        c.backend = static_cast<BackendKind>(rng.nextBelow(3));
+        c.backend = static_cast<BackendKind>(rng.nextBelow(2));
         // Streams never run injected throws under Abort: an Abort
         // fault on a drain helper is fatal by contract (the policy
         // exists for the caller's thread). Batch rounds use all three.

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the execution layer (threads/execution.hh): the three
- * backends run the same fork set exactly once with identical per-bin
- * membership, cold-spawn pays threads per tour where pooled does not,
- * and fault containment behaves identically on every backend (all of
- * them route through the one executeBin()).
+ * Tests for the execution layer (threads/execution.hh): the serial
+ * and pooled backends run the same fork set exactly once with
+ * identical per-bin membership, and fault containment behaves
+ * identically on both (each routes through the one executeBin()).
  *
  * Lives in the pool test binary: everything here must stay clean under
  * LSCHED_SANITIZE=thread, so no death tests.
@@ -92,8 +91,7 @@ TEST(ExecutionBackends, SameForkSetSameBinsOnEveryBackend)
     // runs or which threads share a bin.
     std::map<std::uint32_t, std::uint32_t> reference; // tag -> binTag
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         LocalityScheduler s(backendCfg(backend));
         ForkLog log(kForks);
         std::vector<TaggedArg> args;
@@ -115,24 +113,6 @@ TEST(ExecutionBackends, SameForkSetSameBinsOnEveryBackend)
     }
 }
 
-TEST(ExecutionBackends, ColdSpawnPaysThreadsPerTourPooledDoesNot)
-{
-    const auto spawnsAfterThreeTours = [](BackendKind backend) {
-        LocalityScheduler s(backendCfg(backend));
-        for (int tour = 0; tour < 3; ++tour) {
-            ForkLog log(kForks);
-            std::vector<TaggedArg> args;
-            forkWorkload(s, log, args);
-            s.runParallel(4);
-        }
-        EXPECT_EQ(s.workerPoolStats().tours, 3u)
-            << backendName(backend);
-        return s.workerPoolStats().threadsSpawned;
-    };
-    EXPECT_EQ(spawnsAfterThreeTours(BackendKind::Pooled), 3u);
-    EXPECT_EQ(spawnsAfterThreeTours(BackendKind::ColdSpawn), 9u);
-}
-
 TEST(ExecutionBackends, SerialBackendIgnoresWorkerCount)
 {
     // backend=serial must run the tour on the caller even when the
@@ -151,8 +131,7 @@ TEST(ExecutionBackends, StopTourContainsTheFaultOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::StopTour;
         LocalityScheduler s(c);
@@ -180,8 +159,7 @@ TEST(ExecutionBackends, ContinueAndCollectRunsTheRestOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::ContinueAndCollect;
         LocalityScheduler s(c);
@@ -207,14 +185,13 @@ TEST(ExecutionBackends, DeadlineCancelsAWedgedTourOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     // Abort and StopTour surface an expired deadline as DeadlineError;
-    // the scheduler is clean and reusable afterwards — on all three
-    // backends, since every one routes through the same executeBin()
+    // the scheduler is clean and reusable afterwards — on both
+    // backends, since each routes through the same executeBin()
     // cancellation boundary.
     for (const ErrorPolicy policy :
          {ErrorPolicy::Abort, ErrorPolicy::StopTour}) {
         for (const BackendKind backend :
-             {BackendKind::Serial, BackendKind::Pooled,
-              BackendKind::ColdSpawn}) {
+             {BackendKind::Serial, BackendKind::Pooled}) {
             SchedulerConfig c = backendCfg(backend);
             c.onError = policy;
             c.deadlineMillis = 50;
@@ -256,8 +233,7 @@ TEST(ExecutionBackends, DeadlineUnderContinueAndCollectIsRecorded)
     // dropped threads are accounted as per-bin cancellation faults and
     // executed + faults covers every fork exactly once.
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::ContinueAndCollect;
         c.deadlineMillis = 50;
@@ -372,29 +348,34 @@ TEST(ExecutionBackends, ReconfigureKeepsSpawnCountersMonotone)
 {
     // Satellite regression: workerPoolStats() must accumulate across
     // configure() — the retired pool's spawns/steals/parks fold into
-    // the running totals instead of resetting, whichever backend
-    // retires them.
+    // the running totals instead of resetting, including across a
+    // serial stretch that builds no pool at all.
     LocalityScheduler s(backendCfg(BackendKind::Pooled));
     std::uint64_t lastSpawned = 0;
-    for (int round = 0; round < 3; ++round) {
+    std::uint64_t pooledTours = 0;
+    for (int round = 0; round < 4; ++round) {
+        const bool pooled = s.config().backend == BackendKind::Pooled;
         ForkLog log(kForks);
         std::vector<TaggedArg> args;
         forkWorkload(s, log, args);
-        s.runParallel(3);
+        EXPECT_EQ(s.runParallel(3), kForks) << "round " << round;
+        pooledTours += pooled ? 1 : 0;
         const WorkerPoolStats stats = s.workerPoolStats();
-        EXPECT_GE(stats.threadsSpawned, lastSpawned)
-            << "round " << round << ": threadsSpawned went backwards";
-        EXPECT_EQ(stats.threadsSpawned, 2u * (round + 1))
+        EXPECT_EQ(stats.threadsSpawned, lastSpawned + (pooled ? 2 : 0))
             << "round " << round;
+        EXPECT_EQ(stats.tours, pooledTours) << "round " << round;
         lastSpawned = stats.threadsSpawned;
 
         SchedulerConfig next = backendCfg(
-            round % 2 ? BackendKind::Pooled : BackendKind::ColdSpawn);
+            round % 2 ? BackendKind::Pooled : BackendKind::Serial);
         s.configure(next); // retires the pool, stats must survive
         EXPECT_EQ(s.workerPoolStats().threadsSpawned, lastSpawned)
             << "round " << round << ": configure() dropped stats";
+        EXPECT_EQ(s.workerPoolStats().tours, pooledTours)
+            << "round " << round << ": configure() dropped stats";
     }
-    EXPECT_EQ(s.workerPoolStats().tours, 3u);
+    EXPECT_EQ(lastSpawned, 4u);
+    EXPECT_EQ(pooledTours, 2u);
 }
 
 } // namespace

@@ -345,7 +345,6 @@ TEST(Stream, SerialBackendDrainsInline)
 {
     SchedulerConfig c = cfg();
     c.backend = BackendKind::Serial;
-    c.persistentPool = false;
     c.streamSealThreshold = 8;
     LocalityScheduler s(c);
     std::atomic<std::uint64_t> ran{0};

@@ -14,7 +14,6 @@
  */
 
 #include <atomic>
-#include <cctype>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -332,39 +331,6 @@ TEST(TopologyConfig, EveryConfigKeySurvivesSetGetSet)
         ASSERT_GE(th_config_get(key.c_str(), buf, sizeof(buf)), 0)
             << key;
         EXPECT_EQ(std::string(buf), first) << key;
-    }
-}
-
-TEST(TopologyConfig, CamelCaseAliasReachesEveryKey)
-{
-    // The naming audit kept the pre-audit camelCase spellings live as
-    // read/write aliases. Derive each key's alias mechanically
-    // (underscore-fold is the inverse of canonicalConfigKey) and
-    // repeat the set->get->set round-trip through the alias alone.
-    char buf[256];
-    for (const std::string &key : lsched::threads::configKeys()) {
-        std::string alias;
-        bool upper = false;
-        for (const char ch : key) {
-            if (ch == '_') {
-                upper = true;
-                continue;
-            }
-            alias += upper ? static_cast<char>(std::toupper(
-                                 static_cast<unsigned char>(ch)))
-                           : ch;
-            upper = false;
-        }
-        ASSERT_EQ(lsched::threads::canonicalConfigKey(alias), key)
-            << alias;
-        const int len = th_config_get(alias.c_str(), buf, sizeof(buf));
-        ASSERT_GE(len, 0) << alias;
-        const std::string value(buf);
-        ASSERT_EQ(th_configure(alias.c_str(), value.c_str()), 0)
-            << alias << "='" << value << "': " << th_last_error();
-        ASSERT_GE(th_config_get(key.c_str(), buf, sizeof(buf)), 0)
-            << key;
-        EXPECT_EQ(std::string(buf), value) << alias;
     }
 }
 

@@ -119,14 +119,15 @@ TEST(TourNames, RoundTrip)
     for (auto policy :
          {TourPolicy::CreationOrder, TourPolicy::SortedSnake,
           TourPolicy::NearestNeighbor, TourPolicy::Hilbert}) {
-        EXPECT_EQ(tourPolicyFromName(tourPolicyName(policy)), policy);
+        TourPolicy parsed = policy == TourPolicy::Hilbert
+                                ? TourPolicy::CreationOrder
+                                : TourPolicy::Hilbert;
+        EXPECT_TRUE(tryTourFromName(tourPolicyName(policy), &parsed));
+        EXPECT_EQ(parsed, policy);
     }
-}
-
-TEST(TourNamesDeathTest, UnknownNameIsFatal)
-{
-    EXPECT_EXIT((void)tourPolicyFromName("bogus"),
-                ::testing::ExitedWithCode(1), "unknown tour");
+    TourPolicy out = TourPolicy::NearestNeighbor;
+    EXPECT_FALSE(tryTourFromName("bogus", &out));
+    EXPECT_EQ(out, TourPolicy::NearestNeighbor) << "out must be untouched";
 }
 
 } // namespace

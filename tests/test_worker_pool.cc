@@ -2,8 +2,9 @@
  * @file
  * Tests for the persistent work-stealing worker pool behind
  * runParallel(): exactly-once bin execution over skewed occupancy,
- * pool persistence (no OS threads after the first tour), cold-spawn
- * accounting, forced stealing, and StopTour deque draining.
+ * pool persistence (no OS threads after the first tour), stats
+ * surviving reconfiguration, forced stealing, and StopTour deque
+ * draining.
  *
  * Everything here must stay clean under LSCHED_SANITIZE=thread — no
  * death tests (those live in the main lsched_tests binary).
@@ -147,24 +148,6 @@ TEST(WorkerPool, RepeatedToursSpawnNoNewThreads)
     // Every helper parked at least once between tours.
     EXPECT_GE(after.parks, kWorkers - 1);
     s.runParallel(kWorkers, /*keep=*/false);
-}
-
-TEST(WorkerPool, ColdSpawnPaysThreadsPerTour)
-{
-    // persistentPool=false restores the historic behavior: a fresh
-    // set of helpers per tour, visible in the spawn counter.
-    SchedulerConfig c = cfg();
-    c.persistentPool = false;
-    LocalityScheduler s(c);
-    constexpr unsigned kWorkers = 4;
-    BinCounters counters(8);
-
-    for (int tour = 0; tour < 3; ++tour) {
-        forkSkewed(s, counters, 8);
-        s.runParallel(kWorkers);
-    }
-    EXPECT_EQ(s.workerPoolStats().threadsSpawned, 3 * (kWorkers - 1));
-    EXPECT_EQ(s.workerPoolStats().tours, 3u);
 }
 
 TEST(WorkerPool, ReconfigureRetiresThePoolButKeepsItsStats)
