@@ -14,6 +14,7 @@
 #include "machine/machine_config.hh"
 #include "support/prng.hh"
 #include "threads/scheduler.hh"
+#include "workloads/matmul.hh"
 
 namespace
 {
@@ -159,6 +160,34 @@ BM_HierarchyDotPattern(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * 2 * kN));
 }
 BENCHMARK(BM_HierarchyDotPattern);
+
+/**
+ * One native 1,024-element dot product through the Threaded thread
+ * body, on warm columns: the kernel behind matmul_paper, so a kernel
+ * or code-alignment regression shows here without a full benchmark
+ * run. One item is one dot product.
+ */
+void
+BM_DotProductThread(benchmark::State &state)
+{
+    constexpr std::size_t kN = 1024;
+    workloads::Matrix at(kN, 2), b(kN, 2), c(2, 2);
+    workloads::randomize(at, 1);
+    workloads::randomize(b, 2);
+    workloads::NativeModel model;
+    // The body reads column 1 of At and column 0 of B (arg2 packs
+    // i = 1, j = 0) and takes the dot length from At's rows.
+    workloads::DotProductCtx<workloads::NativeModel> ctx{&at, &b, &c,
+                                                         &model};
+    for (auto _ : state) {
+        workloads::dotProductThread<workloads::NativeModel>(
+            &ctx, reinterpret_cast<void *>(std::uintptr_t{1} << 32));
+        benchmark::DoNotOptimize(c(1, 0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DotProductThread);
 
 void
 BM_FullyAssocAccess(benchmark::State &state)

@@ -103,6 +103,66 @@ transpose(const Matrix &a, Matrix &at, M &model)
 }
 
 /**
+ * Dot product of x[0..n) and y[0..n): the one inner loop shared by
+ * the Transposed kernel, the TiledTransposed edge blocks and every
+ * Threaded thread body.
+ *
+ * A single accumulator makes each madd wait for the previous add, so
+ * the loop runs at one FP-add latency per element. Sixteen independent
+ * partial sums (sum u takes every k with k % 16 == u) break that chain,
+ * and GCC turns them into packed SSE2 mulpd/addpd at -O2 without any
+ * reassociation licence. The partial sums are combined in a fixed
+ * pairwise tree and the n % 16 tail is added in order after it, so the
+ * result depends only on x, y and n — never on the caller, the model
+ * or the compiler's vectorization choices.
+ *
+ * Each element issues model.load(&x[k]) then model.load(&y[k]) for k
+ * ascending, exactly as a one-accumulator loop would, so traced runs
+ * see the same reference stream. Instruction charges stay with the
+ * caller. Always inlined, so the loop's code placement is its caller's
+ * (see dotProductThread).
+ */
+template <class M>
+[[gnu::always_inline]] inline double
+dotProduct(const double *x, const double *y, std::size_t n, M &model)
+{
+    double s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
+    double s8 = 0, s9 = 0, s10 = 0, s11 = 0, s12 = 0, s13 = 0, s14 = 0,
+           s15 = 0;
+    std::size_t k = 0;
+    for (; k + 16 <= n; k += 16) {
+        for (std::size_t u = 0; u < 16; ++u) {
+            model.load(&x[k + u], 8);
+            model.load(&y[k + u], 8);
+        }
+        s0 += x[k] * y[k];
+        s1 += x[k + 1] * y[k + 1];
+        s2 += x[k + 2] * y[k + 2];
+        s3 += x[k + 3] * y[k + 3];
+        s4 += x[k + 4] * y[k + 4];
+        s5 += x[k + 5] * y[k + 5];
+        s6 += x[k + 6] * y[k + 6];
+        s7 += x[k + 7] * y[k + 7];
+        s8 += x[k + 8] * y[k + 8];
+        s9 += x[k + 9] * y[k + 9];
+        s10 += x[k + 10] * y[k + 10];
+        s11 += x[k + 11] * y[k + 11];
+        s12 += x[k + 12] * y[k + 12];
+        s13 += x[k + 13] * y[k + 13];
+        s14 += x[k + 14] * y[k + 14];
+        s15 += x[k + 15] * y[k + 15];
+    }
+    double sum = (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) +
+                 (((s8 + s9) + (s10 + s11)) + ((s12 + s13) + (s14 + s15)));
+    for (; k < n; ++k) {
+        model.load(&x[k], 8);
+        model.load(&y[k], 8);
+        sum += x[k] * y[k];
+    }
+    return sum;
+}
+
+/**
  * Untiled interchanged (jki) multiply: the paper's best plain
  * sequential method. B[k,j] is held in a register across the inner
  * loop, so each madd costs two loads and one store.
@@ -147,15 +207,7 @@ matmulTransposed(const Matrix &a, const Matrix &b, Matrix &c, M &model)
     model.enterKernel(kMatmulTransposed);
     for (std::size_t j = 0; j < n; ++j) {
         for (std::size_t i = 0; i < n; ++i) {
-            const double *const atcol = at.col(i);
-            const double *const bcol = b.col(j);
-            double sum = 0.0;
-            for (std::size_t k = 0; k < n; ++k) {
-                model.load(&atcol[k], 8);
-                model.load(&bcol[k], 8);
-                sum += atcol[k] * bcol[k];
-            }
-            c(i, j) = sum;
+            c(i, j) = dotProduct(at.col(i), b.col(j), n, model);
             model.store(&c(i, j), 8);
             model.instructions(7 * n / 2 + 6);
         }
@@ -268,14 +320,8 @@ matmulTiledTransposed(const Matrix &a, const Matrix &b, Matrix &c,
 
     auto dot_tail = [&](std::size_t i, std::size_t j, std::size_t kk,
                         std::size_t kb) {
-        const double *const chunk = &packed[i * kb];
-        const double *const bcol = b.col(j) + kk;
-        double sum = 0.0;
-        for (std::size_t k = 0; k < kb; ++k) {
-            model.load(&chunk[k], 8);
-            model.load(&bcol[k], 8);
-            sum += chunk[k] * bcol[k];
-        }
+        const double sum =
+            dotProduct(&packed[i * kb], b.col(j) + kk, kb, model);
         model.load(&c(i, j), 8);
         c(i, j) += sum;
         model.store(&c(i, j), 8);
@@ -374,10 +420,10 @@ struct DotProductCtx
 /**
  * Thread body: C[i,j] = dot(At[:,i], B[:,j]); arg2 packs (i, j).
  *
- * Aligned to a cache line so its inner loop sits at the same offset
- * within one line whatever code precedes it: unpinned, an unrelated
- * change elsewhere moved the native loop across a 64-byte boundary
- * and slowed the n = 1024 matmul by about a quarter (DESIGN.md §6).
+ * Aligned to a cache line, with dotProduct() inlined into it, so the
+ * dot loop sits at the same offset within a line whatever code
+ * precedes it: the native matmul's time moves with that offset
+ * (DESIGN.md §6).
  */
 template <class M>
 [[gnu::aligned(64)]] void
@@ -389,15 +435,7 @@ dotProductThread(void *ctx_p, void *ij_p)
     const std::size_t j = packed & 0xffffffffu;
     M &model = *ctx->model;
     const std::size_t n = ctx->at->rows();
-    const double *const atcol = ctx->at->col(i);
-    const double *const bcol = ctx->b->col(j);
-    double sum = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        model.load(&atcol[k], 8);
-        model.load(&bcol[k], 8);
-        sum += atcol[k] * bcol[k];
-    }
-    (*ctx->c)(i, j) = sum;
+    (*ctx->c)(i, j) = dotProduct(ctx->at->col(i), ctx->b->col(j), n, model);
     model.store(&(*ctx->c)(i, j), 8);
     model.instructions(7 * n / 2 + 6 + kThreadOverheadInstr);
 }

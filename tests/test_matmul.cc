@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <vector>
+
 #include "cachesim/hierarchy.hh"
 #include "machine/machine_config.hh"
 #include "workloads/matmul.hh"
@@ -90,10 +96,199 @@ TEST_P(MatmulTest, ThreadedMatchesReference)
     EXPECT_EQ(sched.stats().executedThreads, n_ * n_);
 }
 
-// Sizes straddle the 3x3 register-block and tile boundaries.
+TEST_P(MatmulTest, ThreadedBitIdenticalToTransposed)
+{
+    // Both run the one dot-product kernel, so C matches bit for bit.
+    NativeModel m;
+    Matrix c_transposed(n_, n_);
+    matmulTransposed(*a_, *b_, c_transposed, m);
+    lsched::threads::SchedulerConfig cfg;
+    cfg.dims = 2;
+    cfg.blockBytes = 4096;
+    lsched::threads::LocalityScheduler sched(cfg);
+    Matrix c_threaded(n_, n_);
+    matmulThreaded(*a_, *b_, c_threaded, sched, m);
+    EXPECT_EQ(c_threaded.maxAbsDiff(c_transposed), 0.0);
+}
+
+// Sizes straddle the 3x3 register-block and tile boundaries, and the
+// dot kernel's 16-sum width: below it, at multiples of it, and with
+// tails of several lengths.
 INSTANTIATE_TEST_SUITE_P(Sizes, MatmulTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16, 17,
-                                           24, 33, 48));
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16,
+                                           17, 24, 33, 48, 100));
+
+/** One model call, as RecordingModel logs it. */
+struct ModelEvent
+{
+    char kind; // 'L'oad, 'S'tore, 'I'nstructions, 'K'ernel entry
+    std::uint64_t value; // address, instruction count or kernel id
+    std::uint32_t bytes;
+
+    bool operator==(const ModelEvent &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ModelEvent &e)
+{
+    return os << e.kind << ":" << std::hex << e.value << std::dec << "/"
+              << e.bytes;
+}
+
+/** Memory model that logs every call in order, for stream guards. */
+struct RecordingModel
+{
+    void
+    load(const void *p, std::uint32_t bytes)
+    {
+        log.push_back({'L', reinterpret_cast<std::uintptr_t>(p), bytes});
+    }
+    void
+    store(const void *p, std::uint32_t bytes)
+    {
+        log.push_back({'S', reinterpret_cast<std::uintptr_t>(p), bytes});
+    }
+    void instructions(std::uint64_t n) { log.push_back({'I', n, 0}); }
+    void enterKernel(unsigned id) { log.push_back({'K', id, 0}); }
+
+    std::vector<ModelEvent> log;
+};
+
+ModelEvent
+loadOf(const double *p)
+{
+    return {'L', reinterpret_cast<std::uintptr_t>(p), 8};
+}
+
+ModelEvent
+storeOf(const double *p)
+{
+    return {'S', reinterpret_cast<std::uintptr_t>(p), 8};
+}
+
+/**
+ * The stream one dot product of columns x and y must reference, as
+ * the simulated tables were measured: x[k] then y[k] for k ascending.
+ */
+void
+appendDotLoads(std::vector<ModelEvent> &out, const double *x,
+               const double *y, std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        out.push_back(loadOf(&x[k]));
+        out.push_back(loadOf(&y[k]));
+    }
+}
+
+/** Stream guards at n below the kernel's width, at a multiple of it,
+ *  and with a tail. */
+class DotReferenceStream : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(DotReferenceStream, ThreadBodyLoadsXThenYPerElement)
+{
+    const std::size_t n = GetParam();
+    Matrix at(n, n), b(n, n), c(n, n);
+    randomize(at, 5);
+    randomize(b, 6);
+    RecordingModel rm;
+    DotProductCtx<RecordingModel> ctx{&at, &b, &c, &rm};
+    const std::size_t i = n / 2, j = n - 1;
+    dotProductThread<RecordingModel>(
+        &ctx, reinterpret_cast<void *>((i << 32) | j));
+
+    std::vector<ModelEvent> want;
+    appendDotLoads(want, at.col(i), b.col(j), n);
+    want.push_back(storeOf(&c(i, j)));
+    want.push_back({'I', 7 * n / 2 + 6 + kThreadOverheadInstr, 0});
+    EXPECT_EQ(rm.log, want);
+}
+
+TEST_P(DotReferenceStream, TransposedKernelLoadsXThenYPerElement)
+{
+    const std::size_t n = GetParam();
+    Matrix a(n, n), b(n, n), c(n, n);
+    randomize(a, 7);
+    randomize(b, 8);
+    RecordingModel rm;
+    matmulTransposed(a, b, c, rm);
+
+    // At is internal to the kernel; its first transpose store is
+    // At(0,0), which locates it.
+    const auto &log = rm.log;
+    const ModelEvent enter_transpose{'K', kMatmulTransposeA, 0};
+    const ModelEvent enter_dot{'K', kMatmulTransposed, 0};
+    const auto first = std::find(log.begin(), log.end(), enter_transpose);
+    ASSERT_NE(first, log.end());
+    const auto at_store =
+        std::find_if(first, log.end(),
+                     [](const ModelEvent &e) { return e.kind == 'S'; });
+    ASSERT_NE(at_store, log.end());
+    const auto *at = reinterpret_cast<const double *>(at_store->value);
+    const auto dot = std::find(log.begin(), log.end(), enter_dot);
+    ASSERT_NE(dot, log.end());
+    const auto second = std::find(dot, log.end(), enter_transpose);
+    ASSERT_NE(second, log.end());
+
+    std::vector<ModelEvent> want;
+    for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < n; ++i) {
+            appendDotLoads(want, at + i * n, b.col(j), n);
+            want.push_back(storeOf(&c(i, j)));
+            want.push_back({'I', 7 * n / 2 + 6, 0});
+        }
+    }
+    EXPECT_EQ(std::vector<ModelEvent>(dot + 1, second), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, DotReferenceStream,
+                         ::testing::Values(5, 32, 37));
+
+/**
+ * The kernel's rounding error stays within n * 2^-52 * sum |x_k y_k|
+ * of an extended-precision reference, whatever the cancellation: the
+ * bound perfbench's output tolerance is derived from.
+ */
+TEST(DotKernelAccuracy, WithinSummationBoundOfLongDouble)
+{
+    lsched::Prng prng(11);
+    for (const std::size_t n : {1u, 3u, 16u, 31u, 100u, 1024u, 4099u}) {
+        for (const bool cancel : {false, true}) {
+            std::vector<double> x(n), y(n);
+            for (std::size_t k = 0; k < n; ++k) {
+                // Magnitudes spread over 2^-20 .. 2^20.
+                const int e = static_cast<int>(prng.nextBelow(41)) - 20;
+                x[k] = std::ldexp(prng.nextDouble(-1.0, 1.0), e);
+                y[k] = prng.nextDouble(-1.0, 1.0);
+            }
+            if (cancel) {
+                // Each product in the second half nearly cancels one in
+                // the first, so the true sum is tiny next to the terms.
+                for (std::size_t k = n / 2; k < n; ++k) {
+                    x[k] = x[k - n / 2];
+                    y[k] = -y[k - n / 2] *
+                           (1.0 + std::ldexp(prng.nextDouble(-1.0, 1.0),
+                                             -30));
+                }
+            }
+            long double exact = 0, magnitude = 0;
+            for (std::size_t k = 0; k < n; ++k) {
+                const long double p =
+                    static_cast<long double>(x[k]) * y[k];
+                exact += p;
+                magnitude += std::fabs(p);
+            }
+            NativeModel m;
+            const double got = dotProduct(x.data(), y.data(), n, m);
+            const long double bound = static_cast<long double>(n) *
+                                      std::ldexp(1.0L, -52) * magnitude;
+            EXPECT_LE(std::fabs(static_cast<long double>(got) - exact),
+                      bound)
+                << "n=" << n << " cancel=" << cancel;
+        }
+    }
+}
 
 TEST(MatmulTraced, TracedResultsMatchNative)
 {
@@ -112,6 +307,33 @@ TEST(MatmulTraced, TracedResultsMatchNative)
     SimModel sm(h);
     Matrix c_traced(n, n);
     matmulTransposed(a, b, c_traced, sm);
+    EXPECT_EQ(c_traced.maxAbsDiff(c_native), 0.0);
+    EXPECT_GT(h.dataRefs(), 2 * n * n * n);
+}
+
+TEST(MatmulTraced, ThreadedTracedResultsMatchNative)
+{
+    // Odd n, so every dot product runs the kernel's scalar tail.
+    const std::size_t n = 25;
+    Matrix a(n, n), b(n, n);
+    randomize(a, 1);
+    randomize(b, 2);
+    lsched::threads::SchedulerConfig cfg;
+    cfg.dims = 2;
+    cfg.blockBytes = 4096;
+
+    Matrix c_native(n, n);
+    NativeModel nm;
+    lsched::threads::LocalityScheduler native_sched(cfg);
+    matmulThreaded(a, b, c_native, native_sched, nm);
+
+    lsched::cachesim::Hierarchy h(
+        lsched::machine::scaled(lsched::machine::powerIndigo2R8000(), 64)
+            .caches);
+    SimModel sm(h);
+    lsched::threads::LocalityScheduler traced_sched(cfg);
+    Matrix c_traced(n, n);
+    matmulThreaded(a, b, c_traced, traced_sched, sm);
     EXPECT_EQ(c_traced.maxAbsDiff(c_native), 0.0);
     EXPECT_GT(h.dataRefs(), 2 * n * n * n);
 }
