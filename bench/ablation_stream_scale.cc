@@ -14,6 +14,12 @@
  * that ceiling time-slice, and the report says so instead of
  * checking them.
  *
+ * While measuring, producer p is pinned to CacheTopology::pinPlan()[p]
+ * — one producer per L2 domain, the way a ThreadPinner hands out
+ * processors — so the sweep measures admission, not OS placement; the
+ * drain worker stays unpinned. Each point also reports how often the
+ * drain worker parked on an empty queue.
+ *
  * The recorded single-producer baseline from the lock-striped
  * implementation (BENCH_streaming.json / EXPERIMENTS.md: streaming
  * 1.15-1.24x faster than the barrier, midpoint 1.21x) is carried in
@@ -27,7 +33,13 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "harness/report.hh"
+#include "machine/topology.hh"
 #include "support/cli.hh"
 #include "support/panic.hh"
 #include "support/table.hh"
@@ -48,6 +60,52 @@ bumpCounter(void *counter, void *)
     static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
         1, std::memory_order_relaxed);
 }
+
+/**
+ * Pins the calling thread to one CPU for its lifetime and restores
+ * the previous affinity on exit (producer 0 is the caller's own
+ * thread). A CPU past the plan — or a failed syscall — leaves the
+ * thread as it was.
+ */
+class ScopedPin
+{
+  public:
+    explicit ScopedPin(const std::vector<unsigned> &plan, unsigned index)
+    {
+#ifdef __linux__
+        if (index >= plan.size())
+            return;
+        if (pthread_getaffinity_np(pthread_self(), sizeof(saved_),
+                                   &saved_) != 0)
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(plan[index], &one);
+        pinned_ = pthread_setaffinity_np(pthread_self(), sizeof(one),
+                                         &one) == 0;
+#else
+        (void)plan;
+        (void)index;
+#endif
+    }
+
+    ~ScopedPin()
+    {
+#ifdef __linux__
+        if (pinned_)
+            pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+#endif
+    }
+
+    ScopedPin(const ScopedPin &) = delete;
+    ScopedPin &operator=(const ScopedPin &) = delete;
+
+  private:
+#ifdef __linux__
+    cpu_set_t saved_{};
+#endif
+    bool pinned_ = false;
+};
 
 } // namespace
 
@@ -89,25 +147,36 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(cli.getInt("max-pending"));
 
     const unsigned hostCpus = std::thread::hardware_concurrency();
+    // One producer per L2 domain: the plan lists one CPU of each
+    // domain before any domain's second CPU.
+    const std::vector<unsigned> plan =
+        machine::CacheTopology::host()->pinPlan();
     std::printf("== Ablation: streaming admission scaling ==\n");
     std::printf("%llu threads over %llu bins per point, %u drain "
                 "worker(s), seal=%llu, max_pending=%llu, best of %d; "
-                "host has %u CPU(s)\n\n",
+                "host has %u CPU(s); producers %s\n\n",
                 static_cast<unsigned long long>(threads),
                 static_cast<unsigned long long>(bins), workers,
                 static_cast<unsigned long long>(
                     cfg.streamSealThreshold),
                 static_cast<unsigned long long>(cfg.streamMaxPending),
-                repeats, hostCpus);
+                repeats, hostCpus,
+                plan.empty() ? "unpinned"
+                             : "pinned one per L2 domain (pin plan)");
 
     // One sweep point: --threads total forks split over p producers,
     // each hinted into one of --bins blocks, bodies a single relaxed
-    // increment. Returns best-of wall seconds; conservation checked
-    // on every run.
+    // increment. Returns the best-of wall seconds and that run's drain
+    // parks; conservation checked on every run.
     std::atomic<std::uint64_t> ran{0};
     bool conserved = true;
+    struct Point
+    {
+        double seconds = 0.0;
+        std::uint64_t parks = 0;
+    };
     const auto sweepPoint = [&](unsigned producers) {
-        double best = 0.0;
+        Point best;
         for (int r = 0; r < repeats; ++r) {
             threads::LocalityScheduler s(cfg);
             ran.store(0, std::memory_order_relaxed);
@@ -116,6 +185,7 @@ main(int argc, char **argv)
             WallTimer timer;
             const std::uint64_t executed = s.runStream(
                 workers, producers, [&](unsigned p) {
+                    const ScopedPin pin(plan, p);
                     const std::uint64_t begin = p * chunk;
                     const std::uint64_t end =
                         begin + chunk < threads ? begin + chunk
@@ -131,8 +201,8 @@ main(int argc, char **argv)
             if (executed != threads ||
                 ran.load(std::memory_order_relaxed) != threads)
                 conserved = false;
-            if (r == 0 || t < best)
-                best = t;
+            if (r == 0 || t < best.seconds)
+                best = {t, s.streamStats().drainParks};
         }
         return best;
     };
@@ -143,12 +213,13 @@ main(int argc, char **argv)
 
     TextTable table("Ablation: admission scaling (wall seconds)",
                     {"producers", "wall s", "forks/s", "speedup",
-                     "efficiency"});
+                     "efficiency", "drain parks"});
     harness::JsonReport report;
     double t1 = 0.0;
     std::vector<double> efficiencies;
     for (const unsigned p : sweep) {
-        const double t = sweepPoint(p);
+        const Point point = sweepPoint(p);
+        const double t = point.seconds;
         if (p == 1)
             t1 = t;
         const double speedup = t1 / t;
@@ -157,10 +228,13 @@ main(int argc, char **argv)
         table.addRow({std::to_string(p), TextTable::num(t, 6),
                       TextTable::num(threads / t, 0),
                       TextTable::num(speedup, 2) + "x",
-                      TextTable::num(efficiency, 2)});
+                      TextTable::num(efficiency, 2),
+                      std::to_string(point.parks)});
         report.addValue("scale.p" + std::to_string(p) + ".seconds", t);
         report.addValue(
             "scale.p" + std::to_string(p) + ".efficiency", efficiency);
+        report.addValue("scale.p" + std::to_string(p) + ".drain_parks",
+                        static_cast<double>(point.parks));
         std::printf("  %u producer(s) done\n", p);
     }
     std::printf("\n%s\n", table.toText().c_str());

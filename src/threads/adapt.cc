@@ -31,6 +31,7 @@ struct AdaptInstruments
     obs::Counter *shrinks;
     obs::Counter *grows;
     obs::Counter *reverts;
+    obs::Counter *noSignal;
 };
 
 const AdaptInstruments &
@@ -44,6 +45,7 @@ adaptInstruments()
             &r.counter("sched.adapt.shrinks"),
             &r.counter("sched.adapt.grows"),
             &r.counter("sched.adapt.reverts"),
+            &r.counter("sched.adapt.no_signal"),
         };
     }();
     return ins;
@@ -326,8 +328,23 @@ AdaptivePlacement::maybeRetune()
     delta.dwellNs = totals.dwellNs - lastTotals_.dwellNs;
     delta.threads = totals.threads - lastTotals_.threads;
     lastTotals_ = totals;
-    if (delta.samples == 0)
+    if (delta.samples == 0) {
+        if (!obs::profileOn()) {
+            // No signal source: the tuner would idle at its initial
+            // parameters without a word. Count every such boundary
+            // and say so once.
+            if (noSignal_++ == 0) {
+                LSCHED_WARN("placement=adaptive has no signal source: "
+                            "profile.enable is off, so the tuner "
+                            "observes nothing and keeps block_bytes=",
+                            tuner_.params().blockBytes,
+                            " (sched.adapt.no_signal counts these)");
+            }
+            if (obs::metricsOn())
+                adaptInstruments().noSignal->add();
+        }
         return false;
+    }
 
     const std::uint64_t retunesBefore = tuner_.retunes();
     const std::uint64_t shrinksBefore = tuner_.shrinks();
@@ -373,6 +390,7 @@ AdaptivePlacement::adaptSnapshot() const
     s.shrinks = tuner_.shrinks();
     s.grows = tuner_.grows();
     s.reverts = tuner_.reverts();
+    s.noSignal = noSignal_;
     return s;
 }
 

@@ -254,6 +254,8 @@ class AdaptivePlacement final : public PlacementPolicy
     AdaptiveTuner tuner_;
     /** Absolute profiler totals at the previous poll. */
     AdaptSample lastTotals_;
+    /** Boundaries polled with the profiler off; warned at the first. */
+    std::uint64_t noSignal_ = 0;
 };
 
 /**

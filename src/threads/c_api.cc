@@ -101,9 +101,11 @@ copyOut(const std::string &value, char *buf, std::size_t len)
  *  - every obs Registry instrument: counters and gauges under their
  *    own names, histograms flattened to name.count / name.sum;
  *  - every th_stats_t field, synthesized from the scheduler's live
- *    SchedulerStats under its established registry name. These rows
- *    exist even when metrics are disabled or compiled out, so the
- *    named surface is never weaker than the frozen struct.
+ *    SchedulerStats under its established registry name, plus the
+ *    SchedulerStats fields newer than the frozen struct
+ *    (sched.stream.drain_parks). These rows exist even when metrics
+ *    are disabled or compiled out, so the named surface is never
+ *    weaker than the frozen struct.
  */
 std::vector<std::pair<std::string, unsigned long long>>
 metricTable()
@@ -175,6 +177,8 @@ metricTable()
         static_cast<unsigned long long>(s.adapt_regime));
     put("sched.pool.pin_failed", s.pool_pin_failed);
     put("sched.pool.cross_steals", s.pool_cross_domain_steals);
+    // Past the frozen v1 struct: read from the scheduler's own stats.
+    put("sched.stream.drain_parks", instance().stats().stream.drainParks);
     return {table.begin(), table.end()};
 }
 

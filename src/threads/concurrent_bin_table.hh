@@ -33,8 +33,11 @@
  *    still holds the old array never reads freed memory.
  *
  *  - *Appending threads to a bin is lock-free and ABA-proof.* Each
- *    bin anchors a prev-linked chain of ThreadGroups in a single
- *    atomic tail word tagged with the tail group's life generation
+ *    bin has kStreamLanes append lanes; a producer always appends to
+ *    its own lane, so concurrent producers on one bin write disjoint
+ *    groups. Each lane anchors a prev-linked chain of ThreadGroups in
+ *    a single atomic tail word tagged with the tail group's life
+ *    generation
  *    ([generation:32][pool index + 1:32]). A producer reserves a slot
  *    with a CAS on the group's claim word whose expected value
  *    carries that generation — a producer preempted across the
@@ -43,12 +46,15 @@
  *    that now belongs to another bin — then writes the spec and
  *    publishes it by bumping ready (release). When the group is full
  *    or a sealer closed it, the producer installs a fresh group with
- *    one CAS on the tail anchor. Sealing is tail.exchange(0):
- *    exactly one caller gets the chain, closes each group
- *    (claim |= kClosed), waits for the in-flight ready publications
- *    it counted, and reverses the prev links into the fork-order
- *    next chain that GroupCursor walks. Producers and drainers never
- *    share a group: the hand-off point is the seal.
+ *    one CAS on the tail anchor. Sealing exchanges every lane tail
+ *    with 0: exactly one caller gets each lane's chain, closes each
+ *    group (claim |= kClosed), waits for the in-flight ready
+ *    publications it counted, reverses the prev links into fork
+ *    order, and concatenates the lanes into the one next chain that
+ *    GroupCursor walks, so each producer's forks keep their order
+ *    within the epoch. A lane two producers share runs the same
+ *    protocol and stays correct, only slower. Producers and drainers
+ *    never share a group: the hand-off point is the seal.
  */
 
 #ifndef LSCHED_THREADS_CONCURRENT_BIN_TABLE_HH
@@ -71,11 +77,16 @@
 namespace lsched::threads
 {
 
+/** Append lanes per stream bin (producers map onto them round-robin). */
+constexpr unsigned kStreamLanes = 4;
+
 /**
  * One bin of the streaming scheduling space. The search key (coords +
  * cached hash), id, and super-bin are written by the creating producer
  * before the bin is published into a table slot; everything else is
- * concurrently updated through atomics.
+ * concurrently updated through atomics. The key lines are never
+ * written once the bin is published, so probes keep them shared in
+ * every cache; appends and seals write only the lane line.
  */
 struct alignas(64) StreamBin
 {
@@ -87,23 +98,27 @@ struct alignas(64) StreamBin
     std::uint32_t id = 0;
     /** Second-level placement group (kNoSuperBin when flat). */
     std::uint32_t superBin = kNoSuperBin;
+    /** Spare-stack successor index (+1; 0 = end); unpublished only. */
+    std::atomic<std::uint32_t> spareNext{0};
 
     /**
-     * Newest group of the current epoch's prev-linked chain, as a
-     * tagged word [life generation:32][pool index + 1:32]; 0 while
-     * the bin has no unsealed threads. Carrying the generation the
-     * group had when it was installed lets a producer's claim CAS
-     * prove the group still belongs to this bin's current epoch
-     * (appendStreamSpec). The single anchor both producers (CAS
-     * install) and sealers (exchange) contend on.
+     * Per lane, the newest group of the current epoch's prev-linked
+     * chain, as a tagged word [life generation:32][pool index + 1:32];
+     * 0 while the lane has no unsealed threads. Carrying the
+     * generation the group had when it was installed lets a
+     * producer's claim CAS prove the group still belongs to this
+     * lane's current epoch (appendStreamSpec). A lane's producers
+     * (CAS install) and sealers (exchange) contend on its word.
      */
-    std::atomic<std::uint64_t> tail{0};
+    struct alignas(64) Lane
+    {
+        std::atomic<std::uint64_t> tail{0};
+    };
+    Lane lanes[kStreamLanes];
     /** Seal epochs this bin has gone through. */
-    std::atomic<std::uint32_t> epochs{0};
+    alignas(64) std::atomic<std::uint32_t> epochs{0};
     /** Threads sealed across all epochs (report; added per seal). */
     std::atomic<std::uint64_t> totalThreads{0};
-    /** Spare-stack successor index (+1; 0 = end). */
-    std::atomic<std::uint32_t> spareNext{0};
 };
 
 /** A bin epoch detached by sealStreamBin(), ready to drain. */
@@ -117,15 +132,26 @@ struct SealedChain
     std::uint32_t epoch = 0;
 };
 
+/** True while some lane of @p bin holds unsealed threads. */
+inline bool
+streamBinOpen(const StreamBin &bin)
+{
+    for (const StreamBin::Lane &lane : bin.lanes)
+        if (lane.tail.load(std::memory_order_relaxed))
+            return true;
+    return false;
+}
+
 /**
- * Admit one thread spec into @p bin. Lock-free; any number of callers
- * may append to the same bin concurrently with each other and with
- * sealStreamBin(). Returns the spec's 1-based position in the bin's
- * current epoch (the threshold-seal trigger): the reserved slot plus
- * the group's epochBase, so counting costs no extra write.
+ * Admit one thread spec into lane @p lane of @p bin. Lock-free; any
+ * number of callers may append to the same lane concurrently with
+ * each other and with sealStreamBin(). Returns the spec's 1-based
+ * position in the lane's current epoch (the threshold-seal trigger):
+ * the reserved slot plus the group's epochBase, so counting costs no
+ * extra write.
  *
  * Slot reservation is a CAS on the tail group's claim word whose
- * expected value carries the life generation named by the bin's tail
+ * expected value carries the life generation named by the lane's tail
  * word: a producer preempted between reading the tail and reserving —
  * long enough for the group to be sealed, drained, recycled, and
  * re-published elsewhere — fails the CAS (allocate() re-stamped the
@@ -140,13 +166,13 @@ struct SealedChain
  * 2^32 threads in one unsealed epoch.)
  */
 inline std::uint64_t
-appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
+appendStreamSpec(StreamBin &bin, unsigned lane, ConcurrentGroupPool &pool,
                  ThreadFn fn, void *arg1, void *arg2)
 {
+    std::atomic<std::uint64_t> &tail = bin.lanes[lane].tail;
     ThreadGroup *fresh = nullptr;
     for (;;) {
-        const std::uint64_t t =
-            bin.tail.load(std::memory_order_acquire);
+        const std::uint64_t t = tail.load(std::memory_order_acquire);
         ThreadGroup *g = nullptr;
         if (t) {
             g = pool.groupAt(static_cast<std::uint32_t>(t) - 1);
@@ -175,7 +201,7 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
             }
             if (!divert) {
                 // The generation moved: the group was recycled under
-                // us, which implies the bin's tail changed too (a
+                // us, which implies the lane's tail changed too (a
                 // seal emptied it first). Reload the tail.
                 continue;
             }
@@ -204,9 +230,9 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
             (fresh->poolIndex + 1);
         std::uint64_t expected = t;
         // Success publishes the spec and base via the CAS release.
-        if (bin.tail.compare_exchange_strong(expected, freshWord,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed))
+        if (tail.compare_exchange_strong(expected, freshWord,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed))
             return std::uint64_t{base} + 1;
         // Lost to another append or a seal: retry against the new
         // tail, reusing the speculative group.
@@ -215,43 +241,58 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
 
 /**
  * Detach @p bin's current epoch as a drainable chain. Any thread may
- * call this concurrently with appends and other seals: the exchange
- * hands the chain to exactly one caller, and appends that raced past
- * it land in the bin's next epoch. Returns head == nullptr when there
- * was nothing to seal.
+ * call this concurrently with appends and other seals: each lane's
+ * exchange hands that lane's chain to exactly one caller, and appends
+ * that raced past it land in the bin's next epoch. The lanes are
+ * concatenated in lane order, each in fork order. Returns
+ * head == nullptr when there was nothing to seal.
  */
 inline SealedChain
 sealStreamBin(StreamBin &bin, ConcurrentGroupPool &pool)
 {
-    const std::uint64_t t =
-        bin.tail.exchange(0, std::memory_order_acq_rel);
-    if (!t)
-        return {};
-    ThreadGroup *g = pool.groupAt(static_cast<std::uint32_t>(t) - 1);
     SealedChain chain;
-    ThreadGroup *head = nullptr;
-    while (g) {
-        // Closing returns the reservations made so far; late claimers
-        // see the bit and divert to the next epoch. The claim CAS
-        // bounds reservations at capacity; the min is belt and braces.
-        const std::uint64_t raw = g->claim.fetch_or(
-            ThreadGroup::kClosed, std::memory_order_acq_rel);
-        const std::uint32_t n = std::min(
-            static_cast<std::uint32_t>(raw & ~ThreadGroup::kClosed),
-            g->capacity);
-        // Wait out in-flight writers: each reservation publishes
-        // exactly one ready bump (release), so once ready covers n
-        // every captured spec is visible here.
-        while (g->ready.load(std::memory_order_acquire) < n)
-            std::this_thread::yield();
-        g->count = n;
-        chain.threads += n;
-        ThreadGroup *prev = g->prev;
-        g->next = head; // reverse newest-first into fork order
-        head = g;
-        g = prev;
+    ThreadGroup *last = nullptr;
+    for (StreamBin::Lane &lane : bin.lanes) {
+        std::atomic<std::uint64_t> &tail = lane.tail;
+        // The load skips an idle lane without writing the bin's line.
+        if (!tail.load(std::memory_order_relaxed))
+            continue;
+        const std::uint64_t t = tail.exchange(0, std::memory_order_acq_rel);
+        if (!t)
+            continue;
+        ThreadGroup *g = pool.groupAt(static_cast<std::uint32_t>(t) - 1);
+        ThreadGroup *laneTail = g;
+        ThreadGroup *head = nullptr;
+        while (g) {
+            // Closing returns the reservations made so far; late
+            // claimers see the bit and divert to the next epoch. The
+            // claim CAS bounds reservations at capacity; the min is
+            // belt and braces.
+            const std::uint64_t raw = g->claim.fetch_or(
+                ThreadGroup::kClosed, std::memory_order_acq_rel);
+            const std::uint32_t n = std::min(
+                static_cast<std::uint32_t>(raw & ~ThreadGroup::kClosed),
+                g->capacity);
+            // Wait out in-flight writers: each reservation publishes
+            // exactly one ready bump (release), so once ready covers n
+            // every captured spec is visible here.
+            while (g->ready.load(std::memory_order_acquire) < n)
+                std::this_thread::yield();
+            g->count = n;
+            chain.threads += n;
+            ThreadGroup *prev = g->prev;
+            g->next = head; // reverse newest-first into fork order
+            head = g;
+            g = prev;
+        }
+        if (last)
+            last->next = head;
+        else
+            chain.head = head;
+        last = laneTail;
     }
-    chain.head = head;
+    if (!chain.head)
+        return {};
     chain.epoch =
         bin.epochs.fetch_add(1, std::memory_order_relaxed) + 1;
     bin.totalThreads.fetch_add(chain.threads, std::memory_order_relaxed);
@@ -265,7 +306,7 @@ class ConcurrentBinTable
     /** Slots below this are rounded up (headroom for early growth). */
     static constexpr std::size_t kMinSlots = 16;
     /** Bins carved per arena segment. */
-    static constexpr std::uint32_t kSegmentBins = 256;
+    static constexpr std::uint32_t kSegmentBins = 64;
     /** Segment-directory capacity (kMaxSegments * kSegmentBins bins). */
     static constexpr std::uint32_t kMaxSegments = 1u << 12;
 
@@ -404,7 +445,7 @@ class ConcurrentBinTable
      * can reach an index whose segment is still in flight (or, after
      * a failed segment allocation, will never arrive) — callers must
      * skip a null return. Iteration visits spare, never-published
-     * bins too — they have totalThreads == 0 and a zero tail, so
+     * bins too — they have totalThreads == 0 and zero tails, so
      * seal/report sweeps skip them naturally.
      */
     StreamBin *

@@ -11,11 +11,15 @@
  *    back) touches no shared state at all on the producer side;
  *
  *  - a lock-free *global tier* behind the caches: a Treiber free stack
- *    plus an atomic-bump slab directory for fresh carves. The stack
- *    head packs a 32-bit ABA tag with a 32-bit group *index* (groups
- *    are addressed through the slab directory, never raw pointers in
- *    the head word), so a pop that races a re-push of the same group
- *    fails its CAS instead of unlinking through a stale next pointer.
+ *    of kBatch-group chains plus an atomic-bump slab directory for
+ *    fresh carves. A drain helper's cache overflows one whole batch
+ *    at a time and an empty producer cache refills one whole batch at
+ *    a time, so the shared head moves once per kBatch groups. The
+ *    stack head packs a 32-bit ABA tag with a 32-bit group *index*
+ *    (groups are addressed through the slab directory, never raw
+ *    pointers in the head word), so a pop that races a re-push of the
+ *    same batch fails its CAS instead of unlinking through a stale
+ *    next pointer.
  *
  * Slabs have stable addresses for the pool's lifetime and are only
  * freed by the destructor, after the owning StreamSession has joined
@@ -49,8 +53,10 @@ class ConcurrentGroupPool
     static constexpr std::uint32_t kSlabGroups = 64;
     /** Slab-directory capacity: kMaxSlabs * kSlabGroups groups. */
     static constexpr std::uint32_t kMaxSlabs = 1u << 16;
-    /** Free groups a thread caches before overflowing to the stack. */
-    static constexpr unsigned kCacheMax = 32;
+    /** Groups per global free-stack entry (one shared CAS each). */
+    static constexpr unsigned kBatch = 32;
+    /** Free groups a thread caches before overflowing a batch. */
+    static constexpr unsigned kCacheMax = 2 * kBatch;
 
     /** @param capacity threads per group (> 0). */
     explicit ConcurrentGroupPool(std::uint32_t capacity)
@@ -75,8 +81,8 @@ class ConcurrentGroupPool
     ConcurrentGroupPool &operator=(const ConcurrentGroupPool &) = delete;
 
     /**
-     * Obtain an empty group: thread-local cache, then the global free
-     * stack, then a fresh carve. Lock-free on every tier.
+     * Obtain an empty group: thread-local cache, then a batch off the
+     * global free stack, then a fresh carve. Lock-free on every tier.
      */
     ThreadGroup *
     allocate()
@@ -99,8 +105,13 @@ class ConcurrentGroupPool
                 cache.cached = 0;
             }
             g = popGlobal();
-            if (!g)
+            if (g) {
+                // The rest of the batch refills the cache.
+                cache.head = g->next;
+                cache.cached = g->count - 1;
+            } else {
                 g = carve();
+            }
         }
         g->count = 0;
         g->next = nullptr;
@@ -122,7 +133,8 @@ class ConcurrentGroupPool
 
     /**
      * Return a drained chain (linked by next, fork order) to the
-     * calling thread's cache, overflowing to the global stack.
+     * calling thread's cache, overflowing one batch at a time to the
+     * global stack.
      */
     void
     recycleChain(ThreadGroup *head)
@@ -136,12 +148,19 @@ class ConcurrentGroupPool
         }
         while (head) {
             ThreadGroup *next = head->next;
-            if (cache.cached < kCacheMax) {
-                head->next = cache.head;
-                cache.head = head;
-                ++cache.cached;
-            } else {
-                pushGlobal(head);
+            head->next = cache.head;
+            cache.head = head;
+            if (++cache.cached == kCacheMax) {
+                // Overflow the newest kBatch groups as one entry.
+                ThreadGroup *batch = cache.head;
+                ThreadGroup *last = batch;
+                for (unsigned i = 1; i < kBatch; ++i)
+                    last = last->next;
+                cache.head = last->next;
+                cache.cached -= kBatch;
+                last->next = nullptr;
+                batch->count = kBatch;
+                pushGlobal(batch);
             }
             head = next;
         }
@@ -177,14 +196,22 @@ class ConcurrentGroupPool
     {
         Slab *slab =
             slabs_[index / kSlabGroups].load(std::memory_order_acquire);
-        return &slab->groups[index % kSlabGroups];
+        return &slab->groups[index % kSlabGroups].group;
     }
 
   private:
+    /** A group descriptor on its own cache line: neighbouring groups
+     *  belong to different producers, whose claim/ready RMWs would
+     *  otherwise false-share. */
+    struct alignas(64) GroupSlot
+    {
+        ThreadGroup group;
+    };
+
     /** One slab: group descriptors plus their shared spec storage. */
     struct Slab
     {
-        std::unique_ptr<ThreadGroup[]> groups;
+        std::unique_ptr<GroupSlot[]> groups;
         std::unique_ptr<ThreadSpec[]> specs;
     };
 
@@ -211,7 +238,8 @@ class ConcurrentGroupPool
         return counter.fetch_add(1, std::memory_order_relaxed) + 1;
     }
 
-    /** Pop one group off the tagged free stack; null when empty. */
+    /** Pop one batch (a next-linked chain, its length in the head's
+     *  count) off the tagged free stack; null when empty. */
     ThreadGroup *
     popGlobal()
     {
@@ -270,7 +298,7 @@ class ConcurrentGroupPool
             if (LSCHED_FAILPOINT_HIT("grouppool.allocate"))
                 throw std::bad_alloc();
             auto fresh = std::make_unique<Slab>();
-            fresh->groups = std::make_unique<ThreadGroup[]>(kSlabGroups);
+            fresh->groups = std::make_unique<GroupSlot[]>(kSlabGroups);
             fresh->specs = std::make_unique<ThreadSpec[]>(
                 static_cast<std::size_t>(kSlabGroups) * capacity_);
             Slab *expected = nullptr;
@@ -282,7 +310,7 @@ class ConcurrentGroupPool
                 slab = expected; // a racing carver installed it first
             }
         }
-        ThreadGroup *g = &slab->groups[index % kSlabGroups];
+        ThreadGroup *g = &slab->groups[index % kSlabGroups].group;
         g->specs = slab->specs.get() +
                    static_cast<std::size_t>(index % kSlabGroups) *
                        capacity_;

@@ -127,6 +127,9 @@ struct AdaptSnapshot
     std::uint64_t grows = 0;
     /** Dwell-only probes rolled back for not improving. */
     std::uint64_t reverts = 0;
+    /** Retune boundaries skipped because no signal source (the
+     *  profiler, profile.enable) was on. */
+    std::uint64_t noSignal = 0;
 };
 
 /** Hint vector → bin decision (the policy half of the scheduler). */

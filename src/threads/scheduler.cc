@@ -844,6 +844,7 @@ LocalityScheduler::stats() const
         r.gauge("sched.stream.backlog").set(s.stream.backlog);
         r.gauge("sched.stream.peak_backlog")
             .set(s.stream.peakBacklog);
+        r.gauge("sched.stream.drain_parks").set(s.stream.drainParks);
         r.gauge("sched.recover.state")
             .set(static_cast<std::uint64_t>(s.recover.state));
         r.gauge("sched.recover.deadline_millis")

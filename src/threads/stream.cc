@@ -7,8 +7,11 @@
 
 #include "threads/stream.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "support/error.hh"
 #include "support/panic.hh"
@@ -47,6 +50,76 @@ struct InlineDrainScope
     ~InlineDrainScope() { t_inInlineDrain = false; }
 };
 
+/**
+ * Sessions a thread-local producer handle may still refund into, by
+ * generation. A session leaves it when finish() starts; the mutex
+ * keeps it alive while a handle refunds. Never destroyed: thread
+ * exits can outlive static destruction order.
+ */
+struct LiveSessions
+{
+    std::mutex mutex;
+    std::vector<std::pair<std::uint64_t, StreamSession *>> sessions;
+};
+
+LiveSessions &
+liveSessions()
+{
+    static LiveSessions *live = new LiveSessions;
+    return *live;
+}
+
+std::uint64_t
+nextSessionGeneration()
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+} // namespace
+
+namespace detail
+{
+
+/**
+ * The calling thread's producer record, keyed to one session by
+ * generation (like ConcurrentGroupPool's caches). Leaving the session
+ * — thread exit, or forking into another session — refunds the
+ * record's unused tickets if that session is still live; a finished
+ * one already refunded them.
+ */
+struct ProducerHandle
+{
+    std::uint64_t generation = 0;
+    StreamProducer *producer = nullptr;
+
+    ~ProducerHandle() { release(); }
+
+    void
+    release() noexcept
+    {
+        if (!generation)
+            return;
+        LiveSessions &live = liveSessions();
+        std::lock_guard<std::mutex> lock(live.mutex);
+        for (const auto &[gen, session] : live.sessions) {
+            if (gen == generation) {
+                session->releaseProducer(*producer);
+                break;
+            }
+        }
+        generation = 0;
+        producer = nullptr;
+    }
+};
+
+} // namespace detail
+
+namespace
+{
+
+thread_local detail::ProducerHandle t_producer;
+
 } // namespace
 
 StreamSession::StreamSession(const SchedulerConfig &config,
@@ -57,12 +130,22 @@ StreamSession::StreamSession(const SchedulerConfig &config,
     : dims_(config.dims),
       sealThreshold_(config.streamSealThreshold),
       maxPending_(config.streamMaxPending),
+      chunk_(maxPending_ ? std::clamp<std::uint64_t>(
+                               maxPending_ / kChunkDivisor, 1, kMaxChunk)
+                         : kMaxChunk),
+      generation_(nextSessionGeneration()),
+      laneSeal_(config.streamSealThreshold),
       deadlineMillis_(config.deadlineMillis),
       admitRetries_(config.streamAdmitRetries),
       placement_(placement),
       placementStateless_(placement.stateless()),
       placementAdaptive_(placement.kind() == PlacementKind::Adaptive),
-      groupPool_(config.groupCapacity),
+      // An epoch seals at the threshold, so a stream group never needs
+      // more slots than that: lane groups stay small.
+      groupPool_(static_cast<std::uint32_t>(
+          sealThreshold_ ? std::min<std::uint64_t>(config.groupCapacity,
+                                                   sealThreshold_)
+                         : config.groupCapacity)),
       fault_(config.onError, &faults_),
       pool_(pool),
       recovery_(recovery),
@@ -92,6 +175,11 @@ StreamSession::StreamSession(const SchedulerConfig &config,
         pool_->beginStream(job_);
         helpersRunning_ = true;
     }
+    {
+        LiveSessions &live = liveSessions();
+        std::lock_guard<std::mutex> lock(live.mutex);
+        live.sessions.emplace_back(generation_, this);
+    }
     if (deadlineMillis_ > 0 || (governor_ && governor_->enabled()) ||
         placementAdaptive_)
         monitor_ = std::thread(&StreamSession::monitorMain, this);
@@ -104,6 +192,13 @@ StreamSession::~StreamSession()
     } catch (...) {
         // Teardown without a streamEnd(): there is nobody left to
         // rethrow a final inline-drain fault to.
+    }
+    for (detail::StreamProducer *p =
+             producers_.load(std::memory_order_relaxed);
+         p;) {
+        detail::StreamProducer *next = p->link;
+        delete p;
+        p = next;
     }
 }
 
@@ -125,12 +220,133 @@ StreamSession::backlog() const
     return tickets_.load(std::memory_order_relaxed) - retired;
 }
 
-void
-StreamSession::admitThread()
+std::uint64_t
+StreamSession::admitted() const
 {
-    // Every admission takes a ticket, bypass or not: bypassed
-    // admissions then count against the gate arithmetic, so gated
-    // producers automatically absorb any overshoot they caused.
+    std::uint64_t sum = 0;
+    for (const detail::StreamProducer *p =
+             producers_.load(std::memory_order_acquire);
+         p; p = p->link)
+        sum += p->admitted.load(std::memory_order_relaxed);
+    return sum;
+}
+
+detail::StreamProducer &
+StreamSession::producer()
+{
+    detail::ProducerHandle &h = t_producer;
+    if (h.generation == generation_) [[likely]]
+        return *h.producer;
+    return attachProducer();
+}
+
+detail::StreamProducer &
+StreamSession::attachProducer()
+{
+    detail::ProducerHandle &h = t_producer;
+    // A record of another session: its unused tickets go back there.
+    h.release();
+    const std::thread::id me = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(producersMutex_);
+    detail::StreamProducer *p = producers_.load(std::memory_order_relaxed);
+    while (p && p->owner != me)
+        p = p->link;
+    if (!p) {
+        p = new detail::StreamProducer;
+        p->owner = me;
+        p->lane = registered_++ % kStreamLanes;
+        p->link = producers_.load(std::memory_order_relaxed);
+        producers_.store(p, std::memory_order_release);
+    }
+    ++liveProducers_;
+    updateLaneSeal();
+    h.generation = generation_;
+    h.producer = p;
+    return *p;
+}
+
+void
+StreamSession::releaseProducer(detail::StreamProducer &p)
+{
+    refund(p.end - p.next);
+    p.next = p.end;
+    std::lock_guard<std::mutex> lock(producersMutex_);
+    --liveProducers_;
+    updateLaneSeal();
+}
+
+void
+StreamSession::updateLaneSeal()
+{
+    // Producers spread a bin's epoch over their lanes, so each lane
+    // seals at its share: a single producer keeps the exact threshold.
+    const std::uint64_t lanes = std::clamp(liveProducers_, 1u, kStreamLanes);
+    laneSeal_.store((sealThreshold_ + lanes - 1) / lanes,
+                    std::memory_order_relaxed);
+}
+
+void
+StreamSession::refund(std::uint64_t n)
+{
+    if (!n)
+        return;
+    // Retirements first, so a reader that sees the refund also sees
+    // the retirement and forked/backlog never underflow.
+    retiredThreads_.fetch_add(n, std::memory_order_release);
+    refunds_.fetch_add(n, std::memory_order_release);
+}
+
+void
+StreamSession::notePeak(std::uint64_t backlog)
+{
+    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
+    while (backlog > peak &&
+           !peak_.compare_exchange_weak(peak, backlog,
+                                        std::memory_order_relaxed))
+        ;
+}
+
+void
+StreamSession::takeTickets(detail::StreamProducer &p)
+{
+    if (!maxPending_) {
+        // No bound: a full chunk, one shared write per kMaxChunk forks.
+        const std::uint64_t first =
+            tickets_.fetch_add(chunk_, std::memory_order_relaxed);
+        p.next = first + 1;
+        p.end = first + chunk_;
+        const std::uint64_t retired =
+            retiredThreads_.load(std::memory_order_relaxed);
+        notePeak(p.end < retired ? 0 : p.end - retired);
+        return;
+    }
+    if (!t_inInlineDrain) {
+        // A chunk of only as many tickets as fit under the bound right
+        // now: every ticket in it passes on this one check, so the
+        // chunk never holds a ticket the gate has not admitted.
+        // Queued gate waiters hold lower tickets, so a chunk is taken
+        // only once they fit too (FIFO holds).
+        std::uint64_t first = tickets_.load(std::memory_order_relaxed);
+        for (;;) {
+            const std::uint64_t retired =
+                retiredThreads_.load(std::memory_order_acquire);
+            const std::uint64_t limit = retired + maxPending_;
+            if (first >= limit)
+                break;
+            const std::uint64_t n = std::min(chunk_, limit - first);
+            if (tickets_.compare_exchange_weak(
+                    first, first + n, std::memory_order_relaxed,
+                    std::memory_order_relaxed)) {
+                p.next = first + 1;
+                p.end = first + n;
+                notePeak(p.end - retired);
+                return;
+            }
+        }
+    }
+    // No room (or a nested fork bypassing the bound): one ticket.
+    // Bypassed admissions count against the gate arithmetic too, so
+    // gated producers absorb any overshoot they caused.
     const std::uint64_t ticket =
         tickets_.fetch_add(1, std::memory_order_relaxed);
     // The gate: this ticket fits under the bound once the drain has
@@ -138,17 +354,10 @@ StreamSession::admitThread()
     // admitted-unretired backlog can never exceed the bound.
     std::uint64_t retired =
         retiredThreads_.load(std::memory_order_acquire);
-    if (maxPending_ && !t_inInlineDrain &&
-        ticket >= retired + maxPending_)
+    if (!t_inInlineDrain && ticket >= retired + maxPending_)
         retired = waitAtGate(ticket);
-    // The backlog this admission joins, from the gate's operands;
-    // peak_ is written only when that raises it.
-    const std::uint64_t now = ticket < retired ? 0 : ticket + 1 - retired;
-    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now,
-                                        std::memory_order_relaxed))
-        ;
+    p.next = p.end = ticket + 1;
+    notePeak(ticket < retired ? 0 : ticket + 1 - retired);
 }
 
 std::uint64_t
@@ -223,8 +432,7 @@ StreamSession::waitAtGate(std::uint64_t ticket)
                                maxPending_, noProgress);
             // This ticket never retires on its own: refund it so the
             // gate stays consistent (release pairs with stats()).
-            retiredThreads_.fetch_add(1, std::memory_order_release);
-            refunds_.fetch_add(1, std::memory_order_release);
+            refund(1);
             throw AdmissionTimeout(lsched::detail::concatMessage(
                 "stream admission timed out after ", noProgress,
                 " no-progress backoff round(s): ", cur,
@@ -261,8 +469,8 @@ StreamSession::tryHelp()
 bool
 StreamSession::seal(StreamBin &bin, detail::SealedBin &out)
 {
-    // The load skips an empty bin without writing its line.
-    if (!bin.tail.load(std::memory_order_relaxed))
+    // The loads skip an empty bin without writing its line.
+    if (!streamBinOpen(bin))
         return false;
     const SealedChain chain = sealStreamBin(bin, groupPool_);
     if (!chain.head)
@@ -274,7 +482,6 @@ StreamSession::seal(StreamBin &bin, detail::SealedBin &out)
 void
 StreamSession::enqueue(const detail::SealedBin &item)
 {
-    seals_.fetch_add(1, std::memory_order_relaxed);
     LSCHED_TRACE_EVENT(obs::EventType::StreamSeal, item.binId,
                        item.epoch, item.threads);
     if (obs::metricsOn())
@@ -329,7 +536,13 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
                     std::span<const Hint> hints)
 {
     LSCHED_ASSERT(fn != nullptr, "fork of a null thread function");
-    admitThread();
+    detail::StreamProducer &self = producer();
+    // A ticket from the producer's own chunk (already past the gate);
+    // the shared counters move only once the chunk runs out.
+    if (self.next != self.end)
+        ++self.next;
+    else
+        takeTickets(self);
 
     PlacementDecision where;
     bool doSeal = false;
@@ -351,17 +564,21 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             shard.table.findOrCreate(where.coords, h, where.superBin);
         created = fresh;
         binId = bin->id;
-        const std::uint64_t epochCount =
-            appendStreamSpec(*bin, groupPool_, fn, arg1, arg2);
-        doSeal = sealThreshold_ && epochCount >= sealThreshold_ &&
-                 seal(*bin, sealed);
+        const std::uint64_t lanePos =
+            appendStreamSpec(*bin, self.lane, groupPool_, fn, arg1, arg2);
+        const std::uint64_t share =
+            laneSeal_.load(std::memory_order_relaxed);
+        doSeal = share && lanePos >= share && seal(*bin, sealed);
     } catch (...) {
-        // The admission slot was reserved up front; hand it back so an
-        // allocation failure cannot wedge the gate or the backlog.
-        retiredThreads_.fetch_add(1, std::memory_order_release);
-        refunds_.fetch_add(1, std::memory_order_release);
+        // The admission slot was reserved up front; hand it back with
+        // the rest of the chunk, so an allocation failure can wedge
+        // neither the gate nor the backlog.
+        refund(1 + self.end - self.next);
+        self.next = self.end;
         throw;
     }
+    self.admitted.store(self.admitted.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
 
     if (obs::anyOn()) [[unlikely]] {
         if (obs::metricsOn()) {
@@ -465,19 +682,24 @@ StreamSession::monitorMain()
         const std::uint64_t ret =
             retiredThreads_.load(std::memory_order_relaxed) - refunds;
         if (deadlineMillis_ > 0 && !cancel_.requested()) {
-            if (sawBacklog && pend > 0 && ret == lastRetired) {
+            // Admitted threads not yet retired: reserved chunk tickets
+            // are not work, so an idle producer's chunk never reads
+            // as a wedged epoch.
+            const std::uint64_t forked = admitted();
+            const std::uint64_t queued = forked > ret ? forked - ret : 0;
+            if (sawBacklog && queued > 0 && ret == lastRetired) {
                 // A standing backlog retired nothing for a whole
                 // deadline period: the epoch is wedged. Cancel
                 // cooperatively; drains discard, backed-off producers
                 // notice through stopRequested() within one backoff.
-                LSCHED_WARN("stream deadline: backlog of ", pend,
+                LSCHED_WARN("stream deadline: backlog of ", queued,
                             " thread(s) made no progress for ",
                             deadlineMillis_,
                             " ms; cancelling the stream");
                 LSCHED_TRACE_EVENT(
                     obs::EventType::DeadlineExpire, deadlineMillis_,
                     static_cast<std::uint64_t>(CancelReason::Deadline),
-                    pend);
+                    queued);
                 if (recovery_) {
                     recovery_->deadlines.fetch_add(
                         1, std::memory_order_relaxed);
@@ -486,7 +708,7 @@ StreamSession::monitorMain()
                     detail::schedInstruments().recoverDeadlines->add();
                 cancel_.request(CancelReason::Deadline);
             }
-            sawBacklog = pend > 0;
+            sawBacklog = queued > 0;
         }
         lastRetired = ret;
         if (governor_ && governor_->enabled()) {
@@ -577,8 +799,25 @@ StreamSession::finish()
     // (or overloaded) epoch.
     stopMonitor();
 
-    // Producers have stopped (the owner's contract): seal every open
-    // chain so the tail of the stream drains like any other epoch.
+    // Producers have stopped (the owner's contract). Leave the live
+    // list first, so no exiting thread refunds into this session any
+    // more, then refund every record's unused tickets.
+    {
+        LiveSessions &live = liveSessions();
+        std::lock_guard<std::mutex> lock(live.mutex);
+        std::erase_if(live.sessions, [this](const auto &entry) {
+            return entry.second == this;
+        });
+    }
+    for (detail::StreamProducer *p =
+             producers_.load(std::memory_order_acquire);
+         p; p = p->link) {
+        refund(p->end - p->next);
+        p->next = p->end;
+    }
+
+    // Seal every open chain so the tail of the stream drains like any
+    // other epoch.
     sealAll();
 
     queue_.finish();
@@ -621,16 +860,14 @@ StreamStats
 StreamSession::stats() const
 {
     StreamStats s;
-    // Subtrahends first, as in backlog(): neither difference can
-    // underflow, and a refunded ticket never counts as forked.
-    const std::uint64_t refunds = refunds_.load(std::memory_order_acquire);
     s.backlog = backlog();
-    s.forked = tickets_.load(std::memory_order_relaxed) - refunds;
+    s.forked = admitted();
     s.executed = executed_.load(std::memory_order_relaxed);
-    s.seals = seals_.load(std::memory_order_relaxed);
+    s.seals = queue_.pushes();
     s.backpressureWaits = bpWaits_.load(std::memory_order_relaxed);
     s.inlineDrains = inlineDrains_.load(std::memory_order_relaxed);
     s.peakBacklog = peak_.load(std::memory_order_relaxed);
+    s.drainParks = queue_.parks();
     return s;
 }
 

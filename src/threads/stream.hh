@@ -21,21 +21,28 @@
  *    thread-local cache over a lock-free global refill.
  *
  *  - Bins gain *seal/epoch* semantics: a bin anchors its current
- *    epoch's thread groups in a single atomic tail pointer; producers
- *    append with a claim/ready reservation protocol and sealing is
- *    one exchange that hands the chain to exactly one caller
- *    (concurrent_bin_table.hh). A bin seals when it reaches
- *    streamSealThreshold threads, when a producer under backpressure
- *    force-seals it, or at finish(). Drain workers execute *sealed*
- *    chains only — the seal is the hand-off point, after which the
- *    chain is exclusively the drainer's.
+ *    epoch's thread groups in per-producer append lanes (one atomic
+ *    tail each); producers append to their own lane with a
+ *    claim/ready reservation protocol and sealing exchanges every
+ *    lane, handing the concatenated chain to exactly one caller
+ *    (concurrent_bin_table.hh). A bin seals when one lane reaches its
+ *    share of streamSealThreshold (the whole threshold for a single
+ *    producer), when a producer under backpressure force-seals it,
+ *    or at finish(). Drain workers execute *sealed* chains only — the
+ *    seal is the hand-off point, after which the chain is exclusively
+ *    the drainer's.
  *
  *  - Backpressure bounds memory through a *ticket gate*: every
- *    admission takes a ticket (one fetch_add); with streamMaxPending
- *    set, a producer passes only once the drain has retired enough
- *    threads that its ticket fits under the bound, which keeps the
- *    backlog exactly bounded and FIFO-fair without any mutex. A
- *    producer held at the gate first tries to drain one sealed bin
+ *    admission uses a ticket. A producer reserves a chunk of tickets
+ *    with one CAS, and only as many as fit under streamMaxPending at
+ *    that moment, so a whole chunk passes the gate on one check and
+ *    each fork in it touches only the producer's own record. With no
+ *    room left, a producer takes one ticket (one fetch_add) and waits
+ *    until the drain has retired enough threads that it fits, which
+ *    keeps the backlog exactly bounded and FIFO-fair without any
+ *    mutex. Unused chunk tickets are refunded when the producer
+ *    thread exits and at finish(). A producer held at the gate first
+ *    tries to drain one sealed bin
  *    inline (becoming worker 0 for that bin), then to force-seal an
  *    open bin for the pool, and only then backs off with a timed,
  *    jittered exponential sleep — the slow path that preserves the
@@ -82,7 +89,8 @@ struct SchedulerConfig;
 /** Counters of one streaming session (also lifetime-accumulated). */
 struct StreamStats
 {
-    /** Tickets taken minus refunded (live: forks in progress too). */
+    /** Threads admitted (live: the sum of per-producer counts, so
+     *  reserved-but-unused and refunded tickets never count). */
     std::uint64_t forked = 0;
     /** Threads executed by the drain (inline or pool). */
     std::uint64_t executed = 0;
@@ -92,10 +100,13 @@ struct StreamStats
     std::uint64_t backpressureWaits = 0;
     /** Sealed bins a producer drained inline under backpressure. */
     std::uint64_t inlineDrains = 0;
-    /** Tickets not yet retired (live): gate waiters included. */
+    /** Tickets not yet retired (live): gate waiters and reserved
+     *  chunk tickets included. */
     std::uint64_t backlog = 0;
     /** Highest ticket + 1 − retired at admission (≤ bound if gated). */
     std::uint64_t peakBacklog = 0;
+    /** Times a drain worker parked on an empty sealed queue. */
+    std::uint64_t drainParks = 0;
 
     StreamStats &
     operator+=(const StreamStats &o)
@@ -105,6 +116,7 @@ struct StreamStats
         seals += o.seals;
         backpressureWaits += o.backpressureWaits;
         inlineDrains += o.inlineDrains;
+        drainParks += o.drainParks;
         backlog = o.backlog;
         peakBacklog = std::max(peakBacklog, o.peakBacklog);
         return *this;
@@ -136,6 +148,41 @@ struct SealedBin
     ThreadGroup *groups = nullptr;
 };
 
+/** Spin-wait hint: lets a sibling hyperthread run while we poll. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * One producer thread's admission state in one session. Only its
+ * thread writes it (the session reads it once producers stopped), so
+ * a fork's ticket and its count land on a line the producer owns.
+ */
+struct alignas(64) StreamProducer
+{
+    /** Unused tickets of the current chunk, [next, end); every one of
+     *  them already passed the gate. */
+    std::uint64_t next = 0;
+    std::uint64_t end = 0;
+    /** Threads this producer admitted; live forked is their sum. */
+    std::atomic<std::uint64_t> admitted{0};
+    /** The append lane this producer uses in every bin. */
+    unsigned lane = 0;
+    /** The thread that owns the record (found again on re-attach). */
+    std::thread::id owner;
+    /** Next record of the session's list; fixed before publication. */
+    StreamProducer *link = nullptr;
+};
+
+/** The calling thread's producer record (thread-local). */
+struct ProducerHandle;
+
 /**
  * MPMC FIFO of sealed chains between producers and drain workers.
  * Draining in seal order is the streaming analogue of the ready
@@ -143,11 +190,12 @@ struct SealedBin
  *
  * The ring is Vyukov's bounded MPMC queue: per-cell sequence numbers
  * carry the acquire/release hand-off, so push and pop are lock-free.
- * The mutex exists only to park idle drain helpers: a push touches it
- * solely when the sleepers count says somebody is (about to be)
- * parked, so the admission path stays mutex-free while the queue has
- * active consumers. The missed-wakeup race (sleeper registering while
- * a pusher checks) is closed Dekker-style with seq_cst fences on both
+ * An idle drain helper first polls the ring for a bounded spin, then
+ * parks. The mutex exists only for parking: a push touches it solely
+ * when the sleepers count says somebody is (about to be) parked, so
+ * the admission path stays mutex-free while the queue has active
+ * consumers. The missed-wakeup race (sleeper registering while a
+ * pusher checks) is closed Dekker-style with seq_cst fences on both
  * sides of the counter.
  */
 class SealedQueue
@@ -155,6 +203,9 @@ class SealedQueue
   public:
     /** Ring capacity (power of two). On full, callers drain inline. */
     static constexpr std::size_t kCells = 4096;
+    /** Empty polls before a drain helper parks (a few tens of µs):
+     *  the gap between two seals, so a busy stream rarely parks. */
+    static constexpr unsigned kSpinPolls = 1024;
 
     SealedQueue()
     {
@@ -224,6 +275,13 @@ class SealedQueue
     waitPop(SealedBin &out)
     {
         for (;;) {
+            for (unsigned i = 0; i < kSpinPolls; ++i) {
+                if (tryPop(out))
+                    return true;
+                if (finished_.load(std::memory_order_relaxed))
+                    break;
+                cpuRelax();
+            }
             if (tryPop(out))
                 return true;
             std::unique_lock<std::mutex> lock(mutex_);
@@ -242,9 +300,25 @@ class SealedQueue
                 // sweeps anything a racing helper has not claimed.
                 return tryPop(out);
             }
+            parks_.fetch_add(1, std::memory_order_relaxed);
             cv_.wait(lock);
             sleepers_.fetch_sub(1, std::memory_order_relaxed);
         }
+    }
+
+    /** Items ever pushed: every seal is queued exactly once, so this
+     *  is the one home of the seal count. */
+    std::uint64_t
+    pushes() const
+    {
+        return tail_.load(std::memory_order_relaxed);
+    }
+
+    /** Times a waitPop parked (the one home of drainParks). */
+    std::uint64_t
+    parks() const
+    {
+        return parks_.load(std::memory_order_relaxed);
     }
 
     /** No more pushes will come; unblocks every waitPop. */
@@ -285,6 +359,7 @@ class SealedQueue
     alignas(64) std::atomic<std::size_t> head_{0};
     alignas(64) std::atomic<unsigned> sleepers_{0};
     std::atomic<bool> finished_{false};
+    std::atomic<std::uint64_t> parks_{0};
     std::mutex mutex_;
     std::condition_variable cv_;
 };
@@ -303,6 +378,11 @@ class StreamSession
   public:
     /** Shards used when the config leaves streamShards at 0. */
     static constexpr unsigned kDefaultShards = 8;
+    /** Largest ticket chunk a producer reserves at once. */
+    static constexpr std::uint64_t kMaxChunk = 64;
+    /** A gated chunk is at most streamMaxPending / this, so an idle
+     *  producer's reserved tickets hold under 1/16 of the bound. */
+    static constexpr std::uint64_t kChunkDivisor = 16;
 
     /**
      * @param config the owning scheduler's validated configuration.
@@ -372,6 +452,8 @@ class StreamSession
     }
 
   private:
+    friend struct detail::ProducerHandle;
+
     /**
      * One intake shard: its own concurrent table (disjoint id space),
      * no lock. Padded so the tables' hot heads do not false-share.
@@ -390,10 +472,26 @@ class StreamSession
     static void drainMain(unsigned worker, void *ctx);
 
     unsigned shardOf(std::uint64_t hash) const;
-    /** Take a ticket and wait out the maxPending gate. */
-    void admitThread();
+    /** The calling thread's record in this session (attach on first
+     *  use). */
+    detail::StreamProducer &producer();
+    /** Register (or find again) the calling thread's record. */
+    detail::StreamProducer &attachProducer();
+    /** Refund @p p's unused tickets; it stops counting as live. */
+    void releaseProducer(detail::StreamProducer &p);
+    /** Lane seal share from the live producer count (mutex held). */
+    void updateLaneSeal();
+    /** Take a chunk of tickets that fits the gate, or one ticket and
+     *  wait out the maxPending gate. */
+    void takeTickets(detail::StreamProducer &p);
     /** Gate slow path; returns the retired count it passed on. */
     std::uint64_t waitAtGate(std::uint64_t ticket);
+    /** Raise peak_ to @p backlog if it is higher. */
+    void notePeak(std::uint64_t backlog);
+    /** Hand @p n tickets back: retired first, then refunds_. */
+    void refund(std::uint64_t n);
+    /** Sum of the producers' admitted counts. */
+    std::uint64_t admitted() const;
     /** tickets − retired threads (never underflows). */
     std::uint64_t backlog() const;
     /** Help at the bound: inline-drain a sealed bin or force-seal an
@@ -424,6 +522,13 @@ class StreamSession
     const unsigned dims_;
     const std::uint64_t sealThreshold_;
     const std::uint64_t maxPending_;
+    /** Tickets per chunk (kMaxChunk, or less under a tight bound). */
+    const std::uint64_t chunk_;
+    /** Identity checked by the thread-local producer handles. */
+    const std::uint64_t generation_;
+    /** Lane position that seals a bin: sealThreshold_ over the live
+     *  producers (at most kStreamLanes), rounded up; 0 = never. */
+    std::atomic<std::uint64_t> laneSeal_{0};
     /** Epoch deadline: cancel when a standing backlog retires nothing
      *  for a full period. 0 = no deadline. */
     const std::uint32_t deadlineMillis_;
@@ -444,19 +549,27 @@ class StreamSession
     /** Rotation cursor for forceSealOne's shard scan. */
     std::atomic<unsigned> sealCursor_{0};
 
+    /** Every producer record, newest first; freed with the session. */
+    std::atomic<detail::StreamProducer *> producers_{nullptr};
+    /** Serializes attach/release bookkeeping (rare). */
+    std::mutex producersMutex_;
+    unsigned registered_ = 0;
+    unsigned liveProducers_ = 0;
+
     std::vector<ThreadFault> faults_;
     detail::FaultCtx fault_;
 
     /**
-     * One home per counter, one cache line per writer; a fork writes
-     * only tickets_ (plus its group's claim/ready). forked is tickets_
-     * − refunds_, the backlog tickets_ − retiredThreads_ (gate waiters
-     * included). A gated producer passes once ticket <
-     * retiredThreads_ + maxPending_, which bounds the admitted backlog
-     * by maxPending_ exactly; peak_ records it only when it rises.
+     * One home per counter, one cache line per writer. A fork writes
+     * only its producer's record (plus its lane group's claim/ready);
+     * tickets_ moves once per chunk. forked is the sum of the records'
+     * admitted counts, the backlog tickets_ − retiredThreads_ (gate
+     * waiters and reserved chunks included). A ticket passes once
+     * ticket < retiredThreads_ + maxPending_, which bounds the
+     * admitted backlog by maxPending_ exactly; peak_ records it only
+     * when it rises.
      */
     alignas(64) std::atomic<std::uint64_t> tickets_{0};
-    std::atomic<std::uint64_t> seals_{0};
 
     /** Drain: threads retired (+ refunds) and executed. */
     alignas(64) std::atomic<std::uint64_t> retiredThreads_{0};

@@ -41,7 +41,8 @@ struct ThreadGroup
     ThreadSpec *specs = nullptr;
     /** Capacity of specs. */
     std::uint32_t capacity = 0;
-    /** Number of live specs. */
+    /** Number of live specs (on a free stream batch's head group: the
+     *  batch length, see ConcurrentGroupPool). */
     std::uint32_t count = 0;
     /** Next group in the same bin (fork order). */
     ThreadGroup *next = nullptr;
@@ -52,13 +53,13 @@ struct ThreadGroup
      * ConcurrentGroupPool::allocate() starts each life by bumping the
      * generation half and zeroing the rest, and producers reserve a
      * slot with a CAS whose expected value carries the generation
-     * their bin's tail word named — a producer that slept across this
+     * their lane's tail word named — a producer that slept across this
      * group's seal/drain/recycle always fails the CAS (new life, new
      * generation) instead of writing into somebody else's group. The
      * winner writes its spec and publishes it by bumping ready; the
      * sealer ORs kClosed into claim, then waits until ready covers
      * every reserved slot before the chain is handed to a drain
-     * worker. prev links a bin's current-epoch chain newest-first
+     * worker. prev links a lane's current-epoch chain newest-first
      * (the only direction a lock-free append can build); sealing
      * reverses it into the fork-order next chain the GroupCursor
      * walks.

@@ -444,6 +444,52 @@ TEST_F(AdaptSchedTest, StreamingWithAdaptivePlacementDrains)
     EXPECT_EQ(ran.load(), 400u);
 }
 
+TEST_F(AdaptSchedTest, NoSignalSourceWarnsOnceAndCountsEveryTour)
+{
+    // profile.enable is off (SetUp): the tuner has nothing to observe.
+    // That must not pass silently: one warning per scheduler, and every
+    // skipped retune boundary counted.
+    constexpr int kTours = 10;
+    testing::internal::CaptureStderr();
+    LocalityScheduler sched(adaptiveConfig());
+    static std::atomic<std::uint64_t> ran{0};
+    ran.store(0);
+    for (int tour = 0; tour < kTours; ++tour) {
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            sched.fork(
+                [](void *, void *) {
+                    ran.fetch_add(1, std::memory_order_relaxed);
+                },
+                nullptr, nullptr, static_cast<Hint>(i) * (1u << 12));
+        }
+        sched.run();
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(ran.load(), 64u * kTours);
+
+    const std::string needle = "placement=adaptive has no signal source";
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find(needle); at != std::string::npos;
+         at = err.find(needle, at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << err;
+
+    const SchedulerStats s = sched.stats();
+    EXPECT_EQ(s.adapt.observations, 0u);
+    EXPECT_EQ(s.adapt.retunes, 0u);
+    EXPECT_GE(s.adapt.noSignal, static_cast<std::uint64_t>(kTours));
+}
+
+TEST_F(AdaptSchedTest, EnabledProfilerIsASignalSource)
+{
+    if (!obs::kTraceCompiled)
+        GTEST_SKIP() << "profiler compiled out";
+    ASSERT_TRUE(obs::Profiler::global().setEnabled(true));
+    LocalityScheduler sched(adaptiveConfig());
+    EXPECT_FALSE(sched.pollAdaptivePlacement());
+    EXPECT_EQ(sched.stats().adapt.noSignal, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Reconfigure safety: placement geometry is frozen while streaming.
 // ---------------------------------------------------------------------

@@ -19,7 +19,11 @@
  *  - clean recovery: after every round — faulted, cancelled, or
  *    degraded — the scheduler has zero pending threads and the next
  *    round works;
- *  - monotone recovery counters: sched.recover.* never step backward.
+ *  - monotone recovery counters: sched.recover.* never step backward;
+ *  - producer-local admission: a producer idling on a reserved chunk
+ *    never stalls the others, an exiting producer's unused tickets
+ *    come back, each producer's forks stay in fork order within every
+ *    bin epoch, and the ledger and the backlog bound hold exactly.
  *
  * The whole binary must stay clean under LSCHED_SANITIZE=thread
  * (ctest -L chaos under the tsan preset).
@@ -28,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -39,6 +44,7 @@
 #include "support/failpoint.hh"
 #include "support/prng.hh"
 #include "threads/scheduler.hh"
+#include "stream_lane_check.hh"
 
 namespace
 {
@@ -362,6 +368,110 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
     EXPECT_EQ(executed + s.lastFaultCount(), kForks + synthetic);
     EXPECT_EQ(s.pendingThreads(), 0u);
     EXPECT_FALSE(s.streaming());
+}
+
+TEST(Chaos, ProducerLocalAdmissionKeepsItsInvariants)
+{
+    // Seeded rounds over chunked tickets and per-producer lanes: a
+    // random bound (off or tight), producer count, seal threshold,
+    // group capacity and drain-worker count. In every round producer 0
+    // forks a few threads and then idles on its reserved chunk until
+    // the rest are done, and producer 1 exits mid-session.
+    const std::uint64_t seed = chaosSeed();
+    SCOPED_TRACE("LSCHED_CHAOS_SEED=" + std::to_string(seed));
+    lsched::Prng rng(seed ^ 0x9e3779b97f4a7c15ull);
+
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        SchedulerConfig c;
+        c.dims = 2;
+        c.blockBytes = 1 << 14;
+        c.groupCapacity = 2 + static_cast<std::uint32_t>(rng.nextBelow(15));
+        c.streamSealThreshold = 1 + rng.nextBelow(24);
+        c.streamMaxPending = rng.nextBelow(2) ? 0 : 16 + rng.nextBelow(112);
+        c.streamAdmitRetries = 32;
+        const unsigned producers = 3 + static_cast<unsigned>(rng.nextBelow(3));
+        const unsigned workers = 1 + static_cast<unsigned>(rng.nextBelow(2));
+        const std::uint64_t perProducer = 400 + rng.nextBelow(1200);
+        const std::uint64_t held = 1 + rng.nextBelow(3);
+        const std::uint64_t exiting = 1 + rng.nextBelow(perProducer);
+        const std::uint64_t salt = rng.next();
+        // Producer 0 forks `held`, producer 1 `exiting`, the rest all.
+        const auto forksOf = [&](unsigned p) {
+            return p == 0 ? held : p == 1 ? exiting : perProducer;
+        };
+        std::uint64_t total = 0;
+        for (unsigned p = 0; p < producers; ++p)
+            total += forksOf(p);
+
+        LocalityScheduler s(c);
+        Ledger ledger(producers * perProducer);
+        const auto hintOf = [&](unsigned p, std::uint64_t i) {
+            return static_cast<Hint>(((i * 2654435761u + p * 7919u + salt) %
+                                      256) << 14);
+        };
+        const auto produce = [&](unsigned p) {
+            for (std::uint64_t i = 0; i < forksOf(p); ++i) {
+                const std::uintptr_t index = p * perProducer + i;
+                s.fork(&Ledger::mark, &ledger,
+                       reinterpret_cast<void *>(index), hintOf(p, i), 0);
+            }
+        };
+        const std::uint64_t timeoutsBefore =
+            s.recoverySnapshot().admissionTimeouts;
+
+        s.streamBegin(workers);
+        std::atomic<bool> heldDone{false};
+        std::atomic<bool> release{false};
+        std::thread holder([&] {
+            EXPECT_NO_THROW(produce(0));
+            heldDone.store(true, std::memory_order_release);
+            while (!release.load(std::memory_order_acquire))
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+        while (!heldDone.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        {
+            std::vector<std::thread> rest;
+            for (unsigned p = 1; p < producers; ++p)
+                rest.emplace_back([&, p] { EXPECT_NO_THROW(produce(p)); });
+            for (std::thread &t : rest)
+                t.join();
+        }
+        // Live forked counts admissions only, never reservations.
+        EXPECT_EQ(s.streamStats().forked, total);
+        std::uint64_t executed = 0;
+        EXPECT_NO_THROW(executed = s.streamEnd());
+        release.store(true, std::memory_order_release);
+        holder.join();
+
+        // Exactly once, and the ledger balances with nothing left.
+        EXPECT_EQ(executed, total);
+        for (unsigned p = 0; p < producers; ++p) {
+            for (std::uint64_t i = 0; i < forksOf(p); ++i) {
+                ASSERT_EQ(ledger.ran[p * perProducer + i].load(), 1u)
+                    << "producer " << p << " thread " << i;
+            }
+        }
+        const StreamStats st = s.streamStats();
+        EXPECT_EQ(st.forked, total);
+        EXPECT_EQ(st.executed + s.lastFaultCount(), total);
+        EXPECT_EQ(st.backlog, 0u);
+        if (c.streamMaxPending) {
+            EXPECT_LE(st.peakBacklog, c.streamMaxPending);
+        }
+        EXPECT_EQ(s.recoverySnapshot().admissionTimeouts, timeoutsBefore);
+
+        // Fork order, where an epoch is visible: the same shape
+        // appended straight into bins under a concurrent sealer.
+        const lsched::threads::lanecheck::LaneRound lanes =
+            lsched::threads::lanecheck::runLaneRound(
+                producers, 1 + static_cast<unsigned>(rng.nextBelow(8)),
+                perProducer, c.groupCapacity);
+        EXPECT_EQ(lanes.sealed, producers * perProducer);
+        EXPECT_EQ(lanes.outOfOrder, 0u);
+        EXPECT_EQ(lanes.notOnce, 0u);
+    }
 }
 
 } // namespace

@@ -17,9 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hh"
+#include "obs/trace.hh"
 #include "support/error.hh"
 #include "support/failpoint.hh"
 #include "threads/scheduler.hh"
+#include "stream_lane_check.hh"
 
 namespace
 {
@@ -339,6 +342,170 @@ TEST(Stream, LiveStatsNeverUnderflow)
     EXPECT_EQ(s.streamEnd(), kTotal);
     EXPECT_EQ(ran.load(), kTotal);
     expectLedger(s, kTotal, kBound);
+}
+
+TEST(Stream, IdleChunkHolderDoesNotStallOthers)
+{
+    // One producer forks once (reserving a chunk of tickets) and then
+    // blocks, holding the rest of its chunk, until the others are done.
+    // Its reserved tickets are a bounded slice of the gate, so the
+    // others never time out, and finish() refunds the slice: the
+    // ledger is exact.
+    constexpr std::uint64_t kBound = 64;
+    constexpr unsigned kOthers = 2;
+    constexpr unsigned kPerProducer = 5000;
+    constexpr std::uint64_t kTotal = 1 + kOthers * kPerProducer;
+    SchedulerConfig c = cfg();
+    c.streamMaxPending = kBound;
+    c.streamSealThreshold = 4;
+    c.streamAdmitRetries = 16;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+
+    s.streamBegin(1);
+    std::atomic<bool> forked{false};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        s.fork(bump, &ran, nullptr, hintFor(9, 0), 0);
+        forked.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    while (!forked.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    {
+        std::vector<std::thread> producers;
+        for (unsigned p = 0; p < kOthers; ++p) {
+            producers.emplace_back([&, p] {
+                for (unsigned i = 0; i < kPerProducer; ++i) {
+                    EXPECT_NO_THROW(
+                        s.fork(bump, &ran, nullptr, hintFor(p, i), 0));
+                }
+            });
+        }
+        for (std::thread &t : producers)
+            t.join();
+    }
+    // Live forked counts admissions, never the holder's reservation.
+    EXPECT_EQ(s.streamStats().forked, kTotal);
+    EXPECT_EQ(s.streamEnd(), kTotal);
+    release.store(true, std::memory_order_release);
+    holder.join();
+    EXPECT_EQ(ran.load(), kTotal);
+    EXPECT_EQ(s.recoverySnapshot().admissionTimeouts, 0u);
+    expectLedger(s, kTotal, kBound);
+}
+
+TEST(Stream, ExitedProducerRefundsItsUnusedTickets)
+{
+    // Without a bound a producer reserves a full chunk; the thread
+    // forks a few threads and exits mid-session. Its exit hands the
+    // rest of the chunk back, so the live backlog holds only its
+    // admitted threads.
+    constexpr unsigned kForks = 10;
+    SchedulerConfig c = cfg();
+    c.streamSealThreshold = 4;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+
+    s.streamBegin(1);
+    std::thread([&] {
+        for (unsigned i = 0; i < kForks; ++i)
+            s.fork(bump, &ran, nullptr, hintFor(0, i), 0);
+    }).join();
+    const StreamStats live = s.streamStats();
+    EXPECT_EQ(live.forked, kForks);
+    EXPECT_LE(live.backlog, kForks);
+
+    // The session goes on with another producer after the exit.
+    s.fork(bump, &ran, nullptr, hintFor(1, 0), 0);
+    EXPECT_EQ(s.streamEnd(), kForks + 1);
+    EXPECT_EQ(ran.load(), kForks + 1);
+    expectLedger(s, kForks + 1, ~std::uint64_t{0});
+}
+
+TEST(Stream, EachProducerDrainsInForkOrderWithinEveryEpoch)
+{
+    // At the bin layer, where an epoch is visible: producers append to
+    // shared bins through their own lanes while a sealer keeps sealing,
+    // and every sealed chain (one bin epoch) must hold each producer's
+    // specs in fork order, each spec exactly once. Lane 0 is shared by
+    // producers 0 and 4, which must stay correct too.
+    const lanecheck::LaneRound round =
+        lanecheck::runLaneRound(/*producers=*/5, /*bins=*/6,
+                              /*perProducer=*/20000, /*capacity=*/8);
+    EXPECT_GT(round.chains, 1u);
+    EXPECT_EQ(round.sealed, 5u * 20000u);
+    EXPECT_EQ(round.outOfOrder, 0u);
+    EXPECT_EQ(round.notOnce, 0u);
+
+    // End to end, the lanes change no bin's membership: it is what the
+    // batch path would have built.
+    constexpr unsigned kProducers = 3;
+    constexpr unsigned kPerProducer = 6000;
+    SchedulerConfig c = cfg();
+    c.streamSealThreshold = 12;
+    c.streamMaxPending = 256;
+    LocalityScheduler s(c);
+    Flags flags(kProducers * kPerProducer);
+    const std::uint64_t executed =
+        s.runStream(2, kProducers, [&](unsigned p) {
+            for (unsigned i = 0; i < kPerProducer; ++i) {
+                const std::uintptr_t index = p * kPerProducer + i;
+                s.fork(&Flags::mark, &flags, reinterpret_cast<void *>(index),
+                       hintFor(p, i), 0);
+            }
+        });
+    ASSERT_EQ(executed, kProducers * kPerProducer);
+    for (unsigned i = 0; i < kProducers * kPerProducer; ++i)
+        ASSERT_EQ(flags.ran[i].load(), 1u) << "thread " << i;
+    std::map<std::vector<std::uint64_t>, std::uint64_t> expected, actual;
+    for (unsigned p = 0; p < kProducers; ++p) {
+        for (unsigned i = 0; i < kPerProducer; ++i) {
+            const Hint hints[] = {hintFor(p, i), 0};
+            const BlockCoords coords = s.coordsFor(hints);
+            ++expected[{coords.begin(), coords.end()}];
+        }
+    }
+    for (const StreamBinReport &bin : s.lastStreamBins())
+        actual[{bin.coords.begin(), bin.coords.end()}] += bin.threads;
+    EXPECT_EQ(actual, expected);
+    expectLedger(s, executed, c.streamMaxPending);
+}
+
+TEST(Stream, DrainParksAreCountedAndExported)
+{
+    // A producer that sleeps between seals leaves the drain helper
+    // idle past its spin, so it parks; the count has one home and the
+    // registry row is derived from it.
+    SchedulerConfig c = cfg();
+    c.streamSealThreshold = 4;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+
+    s.streamBegin(1);
+    for (unsigned round = 0; round < 3; ++round) {
+        for (unsigned i = 0; i < 4; ++i)
+            s.fork(bump, &ran, nullptr, static_cast<Hint>(1) << 16, 0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_GE(s.streamStats().drainParks, 1u);
+    EXPECT_EQ(s.streamEnd(), 12u);
+    EXPECT_EQ(ran.load(), 12u);
+
+    const std::uint64_t parks = s.streamStats().drainParks;
+    EXPECT_GE(parks, 1u);
+    const bool metricsWere = lsched::obs::metricsOn();
+    lsched::obs::setMetricsEnabled(true);
+    const SchedulerStats st = s.stats();
+    EXPECT_EQ(st.stream.drainParks, parks);
+    if (lsched::obs::metricsOn()) {
+        EXPECT_EQ(lsched::obs::Registry::global()
+                      .gauge("sched.stream.drain_parks")
+                      .value(),
+                  parks);
+    }
+    lsched::obs::setMetricsEnabled(metricsWere);
 }
 
 TEST(Stream, SerialBackendDrainsInline)
