@@ -45,6 +45,13 @@ BM_ForkRunNullThreads(benchmark::State &state)
 }
 BENCHMARK(BM_ForkRunNullThreads)->Arg(1 << 10)->Arg(1 << 16);
 
+/**
+ * Fork alone (each round of 65,536 forks is run untimed), over the two
+ * hint patterns the perfbench workloads feed the batch fork:
+ *  - 0: round-robin over a 16x16 grid of 256 bins, as in null_batch;
+ *  - 1: runs of 128 same-bin forks cycling over a 9x9 grid of 81 bins,
+ *       as matmul_paper's row-major loop over 8 KiB columns produces.
+ */
 void
 BM_ForkOnly(benchmark::State &state)
 {
@@ -52,10 +59,13 @@ BM_ForkOnly(benchmark::State &state)
     cfg.dims = 2;
     cfg.blockBytes = 1 << 20;
     threads::LocalityScheduler sched(cfg);
+    const bool runs = state.range(0) != 0;
     std::uint64_t i = 0;
     for (auto _ : state) {
-        sched.fork(&nullThread, nullptr, nullptr, (i % 16) << 20,
-                   ((i / 16) % 16) << 20);
+        const std::uint64_t bin = runs ? (i / 128) % 81 : i % 256;
+        const unsigned side = runs ? 9 : 16;
+        sched.fork(&nullThread, nullptr, nullptr, (bin % side) << 20,
+                   (bin / side) << 20);
         if (++i % (1 << 16) == 0) {
             state.PauseTiming();
             sched.run(false);
@@ -64,8 +74,10 @@ BM_ForkOnly(benchmark::State &state)
     }
     sched.clear();
     state.SetItemsProcessed(static_cast<std::int64_t>(i));
+    state.SetLabel(runs ? "runs of 128 over 81 bins"
+                        : "round-robin over 256 bins");
 }
-BENCHMARK(BM_ForkOnly);
+BENCHMARK(BM_ForkOnly)->Arg(0)->Arg(1);
 
 void
 BM_KeepReRun(benchmark::State &state)

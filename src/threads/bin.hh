@@ -4,11 +4,16 @@
  * block coordinates, plus its cached hash for the open-addressing
  * table) and two links — the chain of thread groups scheduled into
  * the bin, and the ready-list link used for run-time traversal.
+ *
+ * A batch fork touches one cache line of the bin: the first holds the
+ * hash, the append cursor into the tail group, the thread count, the
+ * ready flag and the three leading coordinates (the paper's 3-D key).
  */
 
 #ifndef LSCHED_THREADS_BIN_HH
 #define LSCHED_THREADS_BIN_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "threads/hints.hh"
@@ -21,23 +26,33 @@ namespace lsched::threads
 constexpr std::uint32_t kNoSuperBin = 0xffffffffu;
 
 /** One bin of the scheduling space. */
-struct Bin
+struct alignas(64) Bin
 {
-    /** Search key: block coordinates in the scheduling space. */
-    BlockCoords coords{};
+    /** Cached hash of coords (avoids re-mixing on probe and rehash). */
+    std::uint64_t hashVal = 0;
+
+    /**
+     * Append cursor: [forkNext, forkEnd) is the unused tail of
+     * groupsTail's spec array (both null before the first fork and
+     * after clearGroups()). Forks write through it without touching
+     * the group descriptor, so groupsTail->count lags until
+     * publishTail() — which must run before anything walks the chain.
+     */
+    ThreadSpec *forkNext = nullptr;
+    ThreadSpec *forkEnd = nullptr;
+
+    /** Threads currently scheduled in this bin. */
+    std::uint64_t threadCount = 0;
+
+    /** True while the bin is linked on the ready list. */
+    bool onReadyList = false;
 
     /** Stable allocation index, used as the bin's trace identity. */
     std::uint32_t id = 0;
 
-    /**
-     * Second-level placement group (TopologyPlacement): bins of
-     * one super-bin are toured contiguously and handed to a parallel
-     * worker as a unit. kNoSuperBin under flat placements.
-     */
-    std::uint32_t superBin = kNoSuperBin;
-
-    /** Cached hash of coords (avoids re-mixing on probe and rehash). */
-    std::uint64_t hashVal = 0;
+    /** Search key: block coordinates in the scheduling space (zero
+     *  past the table's dims). */
+    BlockCoords coords{};
 
     /** Link 1: chain of thread groups, in fork order. */
     ThreadGroup *groupsHead = nullptr;
@@ -46,19 +61,23 @@ struct Bin
     /** Link 2: next bin on the ready list (allocation order). */
     Bin *readyNext = nullptr;
 
-    /** Threads currently scheduled in this bin. */
-    std::uint64_t threadCount = 0;
-
     /**
-     * Streaming intake: how many times this bin has been sealed this
-     * stream (each seal detaches the group chain and re-opens the
-     * bin for new forks), and total threads admitted across epochs.
+     * Second-level placement group (TopologyPlacement): bins of
+     * one super-bin are toured contiguously and handed to a parallel
+     * worker as a unit. kNoSuperBin under flat placements.
      */
-    std::uint32_t streamEpoch = 0;
-    std::uint64_t streamTotalThreads = 0;
+    std::uint32_t superBin = kNoSuperBin;
 
-    /** True while the bin is linked on the ready list. */
-    bool onReadyList = false;
+    /** Write the cursor back into the tail group's count, so a
+     *  GroupCursor sees every thread forked so far. */
+    void
+    publishTail()
+    {
+        if (groupsTail) {
+            groupsTail->count =
+                static_cast<std::uint32_t>(forkNext - groupsTail->specs);
+        }
+    }
 
     /** Detach all thread groups (they go back to the pool). */
     void
@@ -66,9 +85,15 @@ struct Bin
     {
         groupsHead = nullptr;
         groupsTail = nullptr;
+        forkNext = nullptr;
+        forkEnd = nullptr;
         threadCount = 0;
     }
 };
+
+static_assert(offsetof(Bin, coords) + 3 * sizeof(std::uint64_t) <= 64,
+              "a batch fork must find everything it touches in the "
+              "bin's first cache line");
 
 } // namespace lsched::threads
 

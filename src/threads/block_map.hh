@@ -89,6 +89,10 @@ class BlockMap
     /** Whether symmetric folding is enabled. */
     bool symmetric() const { return symmetric_; }
 
+    /** log2 of the block size when it is a power of two (the mapping
+     *  is then a shift), else -1. */
+    int shift() const { return shift_; }
+
   private:
     unsigned dims_;
     std::uint64_t blockBytes_;

@@ -2,8 +2,8 @@
  * @file
  * The execution layer (execution.hh): the serial tour walk, the pool
  * callbacks, runParallel() — the SMP extension of the locality
- * scheduler (paper Section 7) — the worker thread-local marker fork()
- * checks, and the --placement/--backend/--sched CLI hook.
+ * scheduler (paper Section 7) — and the --placement/--backend/--sched
+ * CLI hook.
  *
  * Bins are the unit of distribution: a worker always runs a whole bin
  * so the per-bin working-set property carries over to each CPU's own
@@ -48,8 +48,6 @@ namespace lsched::threads
 
 namespace
 {
-
-thread_local bool t_inParallelWorker = false;
 
 /**
  * The pool callback (PoolJob::execute) behind every parallel tour.
@@ -150,22 +148,6 @@ applyCliSched(const std::string &placement, const std::string &backend,
 namespace detail
 {
 
-bool
-inParallelWorker()
-{
-    return t_inParallelWorker;
-}
-
-ParallelWorkerScope::ParallelWorkerScope()
-{
-    t_inParallelWorker = true;
-}
-
-ParallelWorkerScope::~ParallelWorkerScope()
-{
-    t_inParallelWorker = false;
-}
-
 const std::vector<std::pair<std::string, std::string>> &
 schedOverrides()
 {
@@ -253,6 +235,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         return run(keep);
     }
 
+    publishReadyTails();
     running_ = true;
     nestedForkOk_ = false;
     lastFaults_.clear();
@@ -409,7 +392,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
     // Tour boundary: let the adaptive placement re-derive its block
     // dims from this tour's profiler feedback before the next run.
     placement_->maybeRetune();
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     guard.commit();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, executed);
     return executed;

@@ -206,23 +206,30 @@ void noteCancelledBin(FaultCtx &ctx, std::uint32_t binId,
                       unsigned worker, std::uint64_t threads);
 
 /**
- * True on a thread currently executing bins for runParallel().
- * fork() uses it to reject the silent ready-list data race that
- * forking from inside a parallel tour would be. Defined in
- * execution.cc.
+ * True on a thread currently executing bins for runParallel() or a
+ * streaming drain. fork() uses it to reject the silent ready-list data
+ * race that forking from inside a parallel tour would be. constinit,
+ * so the inline batch fork reads it with one thread-local load — no
+ * init guard, no call.
  */
-bool inParallelWorker();
+inline constinit thread_local bool t_inParallelWorker = false;
+
+/** Whether the calling thread is inside a ParallelWorkerScope. */
+inline bool
+inParallelWorker()
+{
+    return t_inParallelWorker;
+}
 
 /**
  * Scoped thread-local marker for parallel worker bodies — the span
  * where inParallelWorker() answers true. Shared by the pool callback
- * behind every parallel backend and the streaming drain loop; ctor and
- * dtor are defined in execution.cc next to the thread-local flag.
+ * behind every parallel backend and the streaming drain loop.
  */
 struct ParallelWorkerScope
 {
-    ParallelWorkerScope();
-    ~ParallelWorkerScope();
+    ParallelWorkerScope() { t_inParallelWorker = true; }
+    ~ParallelWorkerScope() { t_inParallelWorker = false; }
     ParallelWorkerScope(const ParallelWorkerScope &) = delete;
     ParallelWorkerScope &operator=(const ParallelWorkerScope &) = delete;
 };

@@ -13,9 +13,12 @@
 #ifndef LSCHED_THREADS_HASH_TABLE_HH
 #define LSCHED_THREADS_HASH_TABLE_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "support/align.hh"
@@ -28,21 +31,30 @@ namespace lsched::threads
 {
 
 /**
- * Mix @p coords into a 64-bit hash (splitmix64-style per coordinate).
- * Exposed as a free function so the streaming intake can shard a fork
- * by coordinate hash *before* picking which shard's BinTable to lock.
+ * Mix the first @p dims entries of @p coords into a 64-bit hash. Each
+ * coordinate is multiplied by its own odd constant — independent
+ * products the CPU overlaps, where a per-dimension mixing chain
+ * serialized them — and their sum gets one finalizer (MurmurHash3's
+ * fmix64). A zero coordinate adds nothing, so a zero-extended key
+ * hashes like its first @p dims coordinates: the batch fork hashes its
+ * three coordinates whatever dims (<= 3) is. Shared by both bin
+ * tables: the streaming intake shards a fork by the top bits *before*
+ * picking which shard's table to probe.
  */
 inline std::uint64_t
-hashCoords(const BlockCoords &coords, unsigned dims)
+hashCoords(const std::uint64_t *coords, unsigned dims)
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (unsigned d = 0; d < dims; ++d) {
-        std::uint64_t z = coords[d] + 0x9e3779b97f4a7c15ull * (d + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        h ^= z ^ (z >> 31);
-        h *= 0xff51afd7ed558ccdull;
-    }
+    static constexpr std::uint64_t kMul[kMaxDims] = {
+        0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full,
+        0x165667b19e3779f9ull, 0xd6e8feb86659fd93ull,
+        0xff51afd7ed558ccdull, 0xc4ceb9fe1a85ec53ull,
+        0xbf58476d1ce4e5b9ull, 0x94d049bb133111ebull,
+    };
+    std::uint64_t h = 0;
+    for (unsigned d = 0; d < dims; ++d)
+        h += coords[d] * kMul[d];
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdull;
+    h = (h ^ (h >> 33)) * 0xc4ceb9fe1a85ec53ull;
     return h ^ (h >> 33);
 }
 
@@ -63,7 +75,8 @@ class BinTable
      */
     BinTable(unsigned dims, std::size_t buckets,
              std::uint32_t idBase = 0)
-        : dims_(dims), idBase_(idBase),
+        : dims_(dims), leadMask1_(dims > 1 ? ~std::uint64_t{0} : 0),
+          leadMask2_(dims > 2 ? ~std::uint64_t{0} : 0), idBase_(idBase),
           mask_(roundUpPowerOfTwo(
                     buckets < kMinSlots ? kMinSlots : buckets) -
                 1),
@@ -85,16 +98,20 @@ class BinTable
     findOrCreate(const BlockCoords &coords,
                  std::uint32_t *probes = nullptr)
     {
-        return findOrCreateHashed(coords, hash(coords), probes);
+        return findOrCreateHashed(coords.data(), hash(coords),
+                                  kNoSuperBin, probes);
     }
 
     /**
      * findOrCreate() with the hash precomputed by the caller (via
-     * hashCoords()) — the streaming intake hashes once to pick a
-     * shard, then reuses the value here instead of re-mixing.
+     * hashCoords()) and the coordinates read in place: the batch fork
+     * hashes its coordinates where it computed them, never building a
+     * BlockCoords. @p coords holds at least max(dims, 3) coordinates;
+     * a bin created here takes the first dims and @p superBin.
      */
     std::pair<Bin *, bool>
-    findOrCreateHashed(const BlockCoords &coords, std::uint64_t h,
+    findOrCreateHashed(const std::uint64_t *coords, std::uint64_t h,
+                       std::uint32_t superBin,
                        std::uint32_t *probes = nullptr)
     {
         std::size_t i = h & mask_;
@@ -107,23 +124,9 @@ class BinTable
                 return {b, false};
             }
         }
-        // Fail point standing in for a real out-of-memory from the bin
-        // growth below.
-        if (LSCHED_FAILPOINT_HIT("bintable.grow"))
-            throw std::bad_alloc();
-        bins_.emplace_back();
-        Bin *b = &bins_.back();
-        b->coords = coords;
-        b->hashVal = h;
-        b->id = idBase_ + static_cast<std::uint32_t>(bins_.size() - 1);
-        slots_[i] = b;
         if (probes)
             *probes = walked;
-        // Keep load under 3/4 so probe sequences stay short and an
-        // empty slot always terminates the loop above.
-        if ((bins_.size() + 1) * 4 > (mask_ + 1) * 3)
-            grow();
-        return {b, true};
+        return {create(i, coords, h, superBin), true};
     }
 
     /** Find without creating; nullptr when absent. */
@@ -134,14 +137,14 @@ class BinTable
         for (std::size_t i = h & mask_; slots_[i];
              i = (i + 1) & mask_) {
             Bin *b = slots_[i];
-            if (b->hashVal == h && sameCoords(b->coords, coords))
+            if (b->hashVal == h && sameCoords(b->coords, coords.data()))
                 return b;
         }
         return nullptr;
     }
 
     /** Number of bins ever allocated. */
-    std::size_t binCount() const { return bins_.size(); }
+    std::size_t binCount() const { return binCount_; }
 
     /** Number of slots in the probe table. */
     std::size_t bucketCount() const { return mask_ + 1; }
@@ -170,15 +173,22 @@ class BinTable
     void
     clear()
     {
-        bins_.clear();
+        chunks_.clear();
+        binCount_ = 0;
         std::fill(slots_.begin(), slots_.end(), nullptr);
     }
 
   private:
+    /** @p b holds at least max(dims, 3) coordinates. */
     bool
-    sameCoords(const BlockCoords &a, const BlockCoords &b) const
+    sameCoords(const BlockCoords &a, const std::uint64_t *b) const
     {
-        for (unsigned d = 0; d < dims_; ++d)
+        // The leading three (the batch fork's whole key) in one test,
+        // masked past dims; any further dimensions after.
+        if (((a[0] ^ b[0]) | ((a[1] ^ b[1]) & leadMask1_) |
+             ((a[2] ^ b[2]) & leadMask2_)) != 0)
+            return false;
+        for (unsigned d = 3; d < dims_; ++d)
             if (a[d] != b[d])
                 return false;
         return true;
@@ -187,28 +197,94 @@ class BinTable
     std::uint64_t
     hash(const BlockCoords &coords) const
     {
-        return hashCoords(coords, dims_);
+        return hashCoords(coords.data(), dims_);
+    }
+
+    /** Allocate the bin for a missed probe that ended at @p slot. */
+    [[gnu::noinline]] Bin *
+    create(std::size_t slot, const std::uint64_t *coords, std::uint64_t h,
+           std::uint32_t superBin)
+    {
+        // Fail point standing in for a real out-of-memory from the bin
+        // growth below.
+        if (LSCHED_FAILPOINT_HIT("bintable.grow"))
+            throw std::bad_alloc();
+        Bin *b = newBin();
+        std::copy_n(coords, dims_, b->coords.begin());
+        b->hashVal = h;
+        b->superBin = superBin;
+        b->id = idBase_ + static_cast<std::uint32_t>(binCount_ - 1);
+        slots_[slot] = b;
+        // Keep load under 3/4 so probe sequences stay short and an
+        // empty slot always terminates the probe loop.
+        if ((binCount_ + 1) * 4 > (mask_ + 1) * 3)
+            grow();
+        return b;
+    }
+
+    /**
+     * Construct the next bin in chunked storage, where it never moves.
+     * Chunks are plain allocations aligned by hand, sized like
+     * std::deque's 512-byte nodes. Over-aligned new goes through
+     * memalign, and both its split-off fragments and larger or
+     * per-bin chunks changed how the C heap reused the space a
+     * destroyed scheduler freed: perfbench sim_matmul's peak RSS rose
+     * by half a megabyte in many runs.
+     */
+    Bin *
+    newBin()
+    {
+        const std::size_t index = binCount_ % kChunkBins;
+        if (index == 0) {
+            chunks_.push_back(
+                std::unique_ptr<std::byte[]>(new std::byte[kChunkBytes]));
+        }
+        void *base = chunks_.back().get();
+        std::size_t space = kChunkBytes;
+        std::align(alignof(Bin), kChunkBins * sizeof(Bin), base, space);
+        ++binCount_;
+        return new (static_cast<std::byte *>(base) + index * sizeof(Bin))
+            Bin();
     }
 
     /** Double the slot array and reinsert by cached hash. */
     void
     grow()
     {
-        mask_ = (mask_ + 1) * 2 - 1;
-        slots_.assign(mask_ + 1, nullptr);
-        for (Bin &b : bins_) {
-            std::size_t i = b.hashVal & mask_;
-            while (slots_[i])
-                i = (i + 1) & mask_;
-            slots_[i] = &b;
+        std::vector<Bin *> next(2 * slots_.size(), nullptr);
+        const std::size_t mask = next.size() - 1;
+        for (Bin *b : slots_) {
+            if (!b)
+                continue;
+            std::size_t i = b->hashVal & mask;
+            while (next[i])
+                i = (i + 1) & mask;
+            next[i] = b;
         }
+        slots_.swap(next);
+        mask_ = mask;
     }
 
+    /** Bins per chunk: as many as fit 512 bytes with alignment slack. */
+    static constexpr std::size_t kChunkBins =
+        (512 - (alignof(Bin) - 1)) / sizeof(Bin);
+    /** A chunk's allocation: its bins plus alignment slack. */
+    static constexpr std::size_t kChunkBytes =
+        kChunkBins * sizeof(Bin) + alignof(Bin) - 1;
+    static_assert(kChunkBins >= 1, "a bin must fit a chunk");
+    static_assert(std::is_trivially_destructible_v<Bin>,
+                  "chunks release bins without running destructors");
+
     unsigned dims_;
+    /** All ones when coordinate 1 (2) is inside dims, else 0. */
+    std::uint64_t leadMask1_;
+    std::uint64_t leadMask2_;
     std::uint32_t idBase_ = 0;
     std::size_t mask_;
     std::vector<Bin *> slots_;
-    std::deque<Bin> bins_;
+    /** Owns every bin, kChunkBins per chunk, in creation order. */
+    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::size_t binCount_ = 0;
 };
 
 } // namespace lsched::threads

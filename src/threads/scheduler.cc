@@ -294,7 +294,7 @@ LocalityScheduler::LocalityScheduler(const SchedulerConfig &config)
       table_(config_.dims, config_.hashBuckets),
       pool_(config_.groupCapacity)
 {
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     governor_.configure(config_.overloadEpochs, config_.recoverEpochs,
                         &recovery_);
 }
@@ -328,7 +328,7 @@ LocalityScheduler::configure(const SchedulerConfig &config)
     lastTourDomains_ = 0;
     lastTourDomainWorkers_ = 0;
     placement_ = placementFor(config_);
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     table_ = BinTable(config_.dims, config_.hashBuckets);
     pool_ = GroupPool(config_.groupCapacity);
     readyHead_ = nullptr;
@@ -347,20 +347,47 @@ LocalityScheduler::configure(const SchedulerConfig &config)
 }
 
 void
-LocalityScheduler::appendReady(Bin *bin)
+LocalityScheduler::refreshHotPlacement()
 {
-    bin->readyNext = nullptr;
-    bin->onReadyList = true;
-    if (readyTail_)
-        readyTail_->readyNext = bin;
-    else
-        readyHead_ = bin;
-    readyTail_ = bin;
+    placeHot_ = placement_->hotPolicy();
+    int shift = -1;
+    if (placeHot_->kind() == PlacementKind::BlockHash) {
+        const BlockMap &map =
+            static_cast<const BlockHashPlacement *>(placeHot_)->blockMap();
+        if (!map.symmetric())
+            shift = map.shift();
+    }
+    forkFast_ = shift >= 0 && config_.dims <= 3;
+    forkShift_ = forkFast_ ? static_cast<unsigned>(shift) : 0;
+    surplusHint2_ = config_.dims < 2 ? ~Hint{0} : 0;
+    surplusHint3_ = config_.dims < 3 ? ~Hint{0} : 0;
 }
 
 void
-LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2, Hint hint1,
-                        Hint hint2, Hint hint3)
+LocalityScheduler::openTailGroup(Bin *bin)
+{
+    ThreadGroup *group = pool_.allocate();
+    if (ThreadGroup *tail = bin->groupsTail) {
+        bin->publishTail();
+        tail->next = group;
+    } else {
+        bin->groupsHead = group;
+    }
+    bin->groupsTail = group;
+    bin->forkNext = group->specs;
+    bin->forkEnd = group->specs + group->capacity;
+}
+
+void
+LocalityScheduler::publishReadyTails()
+{
+    for (Bin *bin = readyHead_; bin; bin = bin->readyNext)
+        bin->publishTail();
+}
+
+void
+LocalityScheduler::forkTruncated(ThreadFn fn, void *arg1, void *arg2,
+                                 Hint hint1, Hint hint2, Hint hint3)
 {
     const Hint hints[3] = {hint1, hint2, hint3};
     unsigned n = 3;
@@ -414,9 +441,9 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
 
     const PlacementDecision where = placeHot_->place(hints);
     std::uint32_t probes = 0;
-    const auto [bin, created] = table_.findOrCreate(where.coords, &probes);
-    if (created)
-        bin->superBin = where.superBin;
+    const auto [bin, created] = table_.findOrCreateHashed(
+        where.coords.data(), hashCoords(where.coords.data(), config_.dims),
+        where.superBin, &probes);
     if (obs::anyOn()) [[unlikely]] {
         if (obs::metricsOn()) {
             const detail::SchedInstruments &ins =
@@ -434,22 +461,12 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
         LSCHED_TRACE_EVENT(obs::EventType::ThreadFork, bin->id,
                            where.coords[0], where.coords[1]);
     }
-
-    ThreadGroup *group = bin->groupsTail;
-    if (!group || group->full()) {
-        group = pool_.allocate();
-        if (bin->groupsTail)
-            bin->groupsTail->next = group;
-        else
-            bin->groupsHead = group;
-        bin->groupsTail = group;
+    appendThread(bin, fn, arg1, arg2);
+    if (running_) {
+        // Nested fork: the running bin's GroupCursor reads counts, not
+        // the cursor, so publish now for it to pick the thread up.
+        bin->publishTail();
     }
-    group->push(fn, arg1, arg2);
-    ++bin->threadCount;
-    ++pendingThreads_;
-
-    if (!bin->onReadyList)
-        appendReady(bin);
 }
 
 std::uint64_t
@@ -462,6 +479,7 @@ LocalityScheduler::run(bool keep)
                          "with streamEnd() first");
     }
     LSCHED_ASSERT(!running_, "recursive run()");
+    publishReadyTails();
     running_ = true;
     nestedForkOk_ = !keep && config_.tour == TourPolicy::CreationOrder;
     lastFaults_.clear();
@@ -593,7 +611,7 @@ LocalityScheduler::run(bool keep)
     // Tour boundary: the one place a serial tour lets the adaptive
     // placement re-derive its block dims from profiler feedback.
     placement_->maybeRetune();
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     guard.commit();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, executed);
     return executed;
@@ -631,7 +649,7 @@ LocalityScheduler::streamBegin(unsigned workers)
     // Safe boundary: no bins exist yet, so a retune here only changes
     // where the upcoming stream's forks land.
     placement_->maybeRetune();
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     LSCHED_TRACE_EVENT(obs::EventType::RunBegin, 0, 0, helpers);
     obs::profileNoteEpoch();
     if (obs::metricsOn())
@@ -669,7 +687,7 @@ LocalityScheduler::streamEnd()
     // The stream just drained: fold its profiler epochs into the
     // adaptive placement before the next run begins.
     placement_->maybeRetune();
-    placeHot_ = placement_->hotPolicy();
+    refreshHotPlacement();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, s.executed);
     if (abortError)
         std::rethrow_exception(abortError);
@@ -879,7 +897,10 @@ LocalityScheduler::pollAdaptivePlacement()
             "tour boundaries only");
     }
     const bool changed = placement_->maybeRetune();
-    placeHot_ = placement_->hotPolicy();
+    // Producers may be forking: the fast-path fields they test are
+    // refreshed by streamEnd() instead.
+    if (!stream_)
+        refreshHotPlacement();
     return changed;
 }
 

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "machine/topology.hh"
+#include "obs/trace.hh"
 #include "support/stats.hh"
 #include "threads/execution.hh"
 #include "threads/fault.hh"
@@ -334,11 +335,44 @@ class LocalityScheduler
      * dims < 3 the surplus hints are truncated, which is a UsageError
      * when a truncated hint is non-zero — it would otherwise be
      * silently ignored.
+     *
+     * The batch fast path is inline: one predictable test sends every
+     * rare case — a stream or running tour, observability on, a
+     * placement other than power-of-two block hash (dims <= 3), a
+     * non-zero surplus hint, a null function, a parallel worker — to
+     * the checked fork() below. Otherwise the block coordinates come
+     * from the cached block shift in place and the thread goes
+     * through the same find-bin + append body the checked case uses.
      */
-    void fork(ThreadFn fn, void *arg1, void *arg2, Hint hint1 = 0,
-              Hint hint2 = 0, Hint hint3 = 0);
+    [[gnu::always_inline]] void
+    fork(ThreadFn fn, void *arg1, void *arg2, Hint hint1 = 0,
+         Hint hint2 = 0, Hint hint3 = 0)
+    {
+        const bool checked =
+            running_ | !forkFast_ | obs::anyOn() |
+            detail::t_inParallelWorker | (fn == nullptr) |
+            (((hint2 & surplusHint2_) | (hint3 & surplusHint3_)) != 0);
+        if (checked) [[unlikely]] {
+            forkTruncated(fn, arg1, arg2, hint1, hint2, hint3);
+            return;
+        }
+        const std::uint64_t coords[3] = {hint1 >> forkShift_,
+                                         hint2 >> forkShift_,
+                                         hint3 >> forkShift_};
+        appendThread(table_
+                         .findOrCreateHashed(coords,
+                                             hashCoords(coords, 3),
+                                             kNoSuperBin)
+                         .first,
+                     fn, arg1, arg2);
+    }
 
-    /** Fork with an arbitrary hint vector (k-dimensional case). */
+    /**
+     * Fork with an arbitrary hint vector (k-dimensional case). This is
+     * also the checked case of the three-hint fork: diagnostics,
+     * streaming admission, PlacementPolicy::place() and the
+     * observability hooks, around the same find-bin + append body.
+     */
     void fork(ThreadFn fn, void *arg1, void *arg2,
               std::span<const Hint> hints);
 
@@ -511,9 +545,55 @@ class LocalityScheduler
   private:
     friend struct detail::RunGuard;
 
-    void rebuild();
     std::vector<Bin *> readyBins() const;
-    void appendReady(Bin *bin);
+
+    /** Link @p bin at the ready list's tail. */
+    void
+    appendReady(Bin *bin)
+    {
+        bin->readyNext = nullptr;
+        bin->onReadyList = true;
+        if (readyTail_)
+            readyTail_->readyNext = bin;
+        else
+            readyHead_ = bin;
+        readyTail_ = bin;
+    }
+
+    /** The append half of the one fork body: write the spec through
+     *  the bin's cursor, opening a new tail group when it is full. */
+    void
+    appendThread(Bin *bin, ThreadFn fn, void *arg1, void *arg2)
+    {
+        if (bin->forkNext == bin->forkEnd) [[unlikely]]
+            openTailGroup(bin);
+        *bin->forkNext++ = {fn, arg1, arg2};
+        ++bin->threadCount;
+        ++pendingThreads_;
+        if (!bin->onReadyList) [[unlikely]]
+            appendReady(bin);
+    }
+
+    /** Chain a fresh group after @p bin's full (or absent) tail and
+     *  point the cursor at it; publishes the old tail's count. */
+    void openTailGroup(Bin *bin);
+
+    /** Publish every ready bin's cursor (run()/runParallel() entry). */
+    void publishReadyTails();
+
+    /** Checked case of the three-hint fork: the surplus-hint check,
+     *  then the span fork. */
+    [[gnu::noinline]] void forkTruncated(ThreadFn fn, void *arg1,
+                                         void *arg2, Hint hint1,
+                                         Hint hint2, Hint hint3);
+
+    /**
+     * Re-read placement_->hotPolicy() and the fast-path state derived
+     * from it (block shift, surplus-hint masks). Every site that
+     * builds or retunes the placement calls this, so the cached
+     * policy and the cached shift never disagree.
+     */
+    void refreshHotPlacement();
     /**
      * Reset to a clean idle state after an abandoned run: recycles
      * @p inFlight (a bin already unlinked by the streaming loop) and
@@ -534,9 +614,18 @@ class LocalityScheduler
     std::unique_ptr<PlacementPolicy> placement_;
     /** Cached placement_->hotPolicy(): the batch fork path dispatches
      *  straight to the adaptive wrapper's inner generation, so a
-     *  quiescent tuner adds nothing per fork. Refreshed wherever
-     *  maybeRetune() runs and on reconfiguration. */
+     *  quiescent tuner adds nothing per fork. Set, with the fields
+     *  below, only by refreshHotPlacement(). */
     PlacementPolicy *placeHot_ = nullptr;
+    /** placeHot_ is a power-of-two, non-symmetric block hash and
+     *  dims <= 3: the inline fork may shift hints itself. */
+    bool forkFast_ = false;
+    /** The hot block hash's log2(blockBytes) when forkFast_. */
+    unsigned forkShift_ = 0;
+    /** All ones when hint 2 (3) lies past dims, else 0: a non-zero
+     *  masked hint sends the fork to the checked case's UsageError. */
+    Hint surplusHint2_ = 0;
+    Hint surplusHint3_ = 0;
     BinTable table_;
     GroupPool pool_;
     /** Persistent parallel workers; created at first runParallel(). */

@@ -557,7 +557,7 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             where = placement_.place(hints);
         }
 
-        const std::uint64_t h = hashCoords(where.coords, dims_);
+        const std::uint64_t h = hashCoords(where.coords.data(), dims_);
         Shard &shard = *shards_[shardOf(h)];
 
         const auto [bin, fresh] =

@@ -357,6 +357,31 @@ TEST_F(AdaptSchedTest, PollRetunesFromSyntheticPmuSamples)
     EXPECT_FALSE(sched.pollAdaptivePlacement());
 }
 
+TEST_F(AdaptSchedTest, ForkAfterRetuneUsesTheNewBlockSize)
+{
+    if (!obs::kTraceCompiled)
+        GTEST_SKIP() << "profiler compiled out";
+    LocalityScheduler sched(adaptiveConfig());
+    ASSERT_TRUE(obs::Profiler::global().setEnabled(true));
+    obs::Profiler::global().recordSample(
+        /*binId=*/1, obs::kProfileNoSuperBin, /*worker=*/0,
+        /*threads=*/4, /*dwellNs=*/1000, /*instructions=*/0,
+        /*cycles=*/0, /*llcRefs=*/100000, /*llcMisses=*/50000,
+        /*pmuValid=*/true);
+    ASSERT_TRUE(sched.pollAdaptivePlacement());
+    ASSERT_EQ(sched.stats().adapt.blockBytes, 1u << 15);
+
+    // 0 and 40000 shared a 64 KiB block; under 32 KiB they must not.
+    auto noop = [](void *, void *) {};
+    sched.fork(noop, nullptr, nullptr, 0);
+    sched.fork(noop, nullptr, nullptr, 40000);
+    EXPECT_EQ(sched.binCount(), 2u);
+    EXPECT_EQ(sched.binOccupancy(), (std::vector<std::uint64_t>{1, 1}));
+    const Hint far = 40000;
+    EXPECT_EQ(sched.coordsFor(std::span<const Hint>(&far, 1))[0], 1u);
+    EXPECT_EQ(sched.run(), 2u);
+}
+
 TEST_F(AdaptSchedTest, DwellOnlyDegradationStillTunes)
 {
     if (!obs::kTraceCompiled)

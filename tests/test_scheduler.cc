@@ -198,6 +198,36 @@ TEST(Scheduler, NestedForkIntoCurrentBinAlsoRuns)
     EXPECT_EQ(ctx.log.order, (std::vector<std::uintptr_t>{1, 7}));
 }
 
+TEST(Scheduler, NestedForkIntoExactlyFullTailGroup)
+{
+    // smallConfig() holds 4 threads per group: the last of 4 forks its
+    // child into its own bin while the group it runs from is full, so
+    // the child opens a new tail group behind the running cursor.
+    LocalityScheduler s(smallConfig());
+    struct Ctx
+    {
+        LocalityScheduler *sched;
+        Log log;
+    } ctx{&s, {}};
+
+    static auto child = [](void *c, void *tag) {
+        Log::record(&static_cast<Ctx *>(c)->log, tag);
+    };
+    static auto last = [](void *c, void *tag) {
+        auto *ctx = static_cast<Ctx *>(c);
+        Log::record(&ctx->log, tag);
+        ctx->sched->fork(child, ctx, reinterpret_cast<void *>(99), 0, 0);
+    };
+    for (std::uintptr_t t = 1; t <= 3; ++t)
+        s.fork(child, &ctx, reinterpret_cast<void *>(t), 0, 0);
+    s.fork(last, &ctx, reinterpret_cast<void *>(4), 0, 0);
+    EXPECT_EQ(s.run(), 5u);
+    EXPECT_EQ(ctx.log.order,
+              (std::vector<std::uintptr_t>{1, 2, 3, 4, 99}));
+    EXPECT_EQ(s.pendingThreads(), 0u);
+    EXPECT_EQ(s.binCount(), 1u);
+}
+
 TEST(Scheduler, ClearDropsPendingThreads)
 {
     LocalityScheduler s(smallConfig());
