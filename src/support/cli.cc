@@ -60,7 +60,7 @@ Cli::Cli(std::string program, std::string blurb)
               "comma-separated key=value scheduler config overrides "
               "applied to every scheduler this program configures "
               "(any SchedulerConfig key, e.g. "
-              "tour=snake,stream_max_pending=4096)");
+              "on_error=continue,stream_max_pending=4096)");
     options_.push_back(
         {"profile", Kind::OptStr,
          "enable continuous profiling (per-bin/per-worker PMU "

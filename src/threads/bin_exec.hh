@@ -3,26 +3,16 @@
  * THE bin-execution routine — the mechanism half of the scheduler.
  *
  * Every path that runs a bin's threads routes through executeBin():
- * the serial run() (streaming and ordered), every parallel backend
- * (execution.hh), and the fiber scheduler's queue drain. ErrorPolicy
+ * the serial run() (streaming and keep), every parallel backend
+ * (execution.hh), and the stream drain (stream.hh). ErrorPolicy
  * containment, BinStart/ThreadStart/ThreadEnd/BinEnd tracing, the
  * per-bin dwell metrics, and the "sched.bin.execute" fail-point site
- * therefore live in exactly one place; PRs that used to patch three
- * copies in lockstep patch one.
+ * therefore live in exactly one place.
  *
- * The routine is a template over a Cursor — the *source* of work
- * items, which is the only thing the call sites differ in:
- *
- *   bool next();          // advance to the next item; false = drained.
- *                         // Re-evaluated each step, so items appended
- *                         // mid-execution (nested fork) are picked up.
- *   std::uint64_t run();  // run the current item; returns completions
- *                         // (1 per finished thread; 0 for a yielded
- *                         // fiber). May throw — containment is the
- *                         // caller branch's job, per ctx.policy.
- *
- * GroupCursor below adapts a Bin's thread-group chain; the fiber
- * scheduler supplies its own queue cursor.
+ * The call sites differ only in where the thread-group chain comes
+ * from (a ready bin or a sealed stream epoch), so the routine walks a
+ * GroupCursor. It stays header-inline so all three call sites compile
+ * to the same loop.
  */
 
 #ifndef LSCHED_THREADS_BIN_EXEC_HH
@@ -39,13 +29,11 @@
 namespace lsched::threads::detail
 {
 
-/** Cursor over a bin's thread-group chain, in fork order. */
+/** Cursor over a thread-group chain (a bin's, or a sealed streaming
+ *  epoch's), in fork order. */
 class GroupCursor
 {
   public:
-    explicit GroupCursor(Bin *bin) : group_(bin->groupsHead) {}
-
-    /** Cursor over a detached chain (a sealed streaming epoch). */
     explicit GroupCursor(ThreadGroup *head) : group_(head) {}
 
     /** Counts and links are re-read each step so threads forked into
@@ -64,11 +52,12 @@ class GroupCursor
         return false;
     }
 
-    std::uint64_t
+    /** Run the current thread. May throw — containment is the
+     *  caller branch's job, per ctx.policy. */
+    void
     run()
     {
         current_->fn(current_->arg1, current_->arg2);
-        return 1;
     }
 
   private:
@@ -78,16 +67,16 @@ class GroupCursor
 };
 
 /**
- * Execute one bin's work items off @p cursor on @p worker.
+ * Execute one bin's threads off @p cursor on @p worker.
  *
- * @p announced is the item count recorded in the BinStart event (the
+ * @p announced is the thread count recorded in the BinStart event (the
  * bin's thread count; nested forks may run more). Behavior splits on
  * ctx.policy:
  *
  *  - Abort: no containment — the historic fast path. An escaped
  *    exception (or the "sched.bin.execute" fail point, which fires
  *    before any per-bin event) propagates to the caller.
- *  - StopTour / ContinueAndCollect: each item runs under a try/catch;
+ *  - StopTour / ContinueAndCollect: each thread runs under a try/catch;
  *    faults are recorded through noteFault(). Under StopTour the rest
  *    of the bin is skipped after the first fault.
  *
@@ -96,12 +85,11 @@ class GroupCursor
  * stream seal epoch pass them so online miss rates aggregate the same
  * way placement did.
  *
- * Returns the number of items that completed.
+ * Returns the number of threads that completed.
  */
-template <typename Cursor>
-std::uint64_t
+inline std::uint64_t
 executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
-           unsigned worker, Cursor &&cursor,
+           unsigned worker, GroupCursor cursor,
            std::uint32_t superBin = obs::kProfileNoSuperBin,
            std::uint32_t streamEpoch = obs::kProfileCurrentEpoch)
 {
@@ -138,12 +126,15 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
             obs::TraceSession &session = obs::TraceSession::global();
             while (!cancelled() && cursor.next()) {
                 session.record(obs::EventType::ThreadStart, binId);
-                executed += cursor.run();
+                cursor.run();
+                ++executed;
                 session.record(obs::EventType::ThreadEnd, binId);
             }
         } else {
-            while (!cancelled() && cursor.next())
-                executed += cursor.run();
+            while (!cancelled() && cursor.next()) {
+                cursor.run();
+                ++executed;
+            }
         }
     } else {
         bool stopped = false;
@@ -160,7 +151,8 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
                     obs::TraceSession::global().record(
                         obs::EventType::ThreadStart, binId);
                 }
-                executed += cursor.run();
+                cursor.run();
+                ++executed;
                 if (traced) {
                     obs::TraceSession::global().record(
                         obs::EventType::ThreadEnd, binId);
@@ -199,9 +191,8 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
 inline std::uint64_t
 executeBin(Bin *bin, FaultCtx &ctx, unsigned worker)
 {
-    GroupCursor cursor(bin);
-    return executeBin(bin->id, bin->threadCount, ctx, worker, cursor,
-                      bin->superBin);
+    return executeBin(bin->id, bin->threadCount, ctx, worker,
+                      GroupCursor(bin->groupsHead), bin->superBin);
 }
 
 } // namespace lsched::threads::detail

@@ -211,9 +211,10 @@ int th_topology_summary(char *buf, std::size_t len);
 
 /**
  * The unified configuration surface: set one scheduler config knob by
- * its string key ("placement", "backend", "tour", "stream_max_pending",
- * ... — every SchedulerConfig field in snake_case; see
- * threads/config_keys.hh for the table and README for the key list).
+ * its string key ("placement", "backend", "on_error",
+ * "stream_max_pending", ... — every SchedulerConfig field in
+ * snake_case; see threads/config_keys.hh for the table and README for
+ * the key list).
  * Reconfigures the global scheduler like th_init, so it requires no
  * threads pending or running. Returns 0 on success, -1 on an unknown
  * key, an unparsable value, or a rejected reconfiguration (the reason

@@ -276,8 +276,6 @@ const Key kKeys[] = {
          return true;
      },
      [](const C &c, const P &) { return c.topology; }},
-    choiceKey<&C::tour, &tryTourFromName, &tourPolicyName>(
-        "tour", "creation|snake|nearest|hilbert"),
     choiceKey<&C::onError, &tryErrorPolicyFromName, &errorPolicyToken>(
         "on_error", "abort|stoptour|continue"),
     countKey<&C::watchdogMillis>("watchdog_millis",

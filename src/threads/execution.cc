@@ -7,13 +7,13 @@
  *
  * Bins are the unit of distribution: a worker always runs a whole bin
  * so the per-bin working-set property carries over to each CPU's own
- * cache. runParallel() orders the tour (grouping super-bins together
- * under a hierarchical placement), arms the optional stall watchdog,
- * and hands the tour to the persistent work-stealing pool
- * (worker_pool.hh) — or, with backend=serial or one worker, to run()'s
- * serial walk. All bin execution, fault containment (ErrorPolicy),
- * tracing, and fail-point sites live in the one executeBin() routine
- * (bin_exec.hh) both paths share.
+ * cache. runParallel() takes the ready list as its tour (grouping
+ * super-bins together under a hierarchical placement), arms the
+ * optional stall watchdog, and hands the tour to the persistent
+ * work-stealing pool (worker_pool.hh) — or, with backend=serial or one
+ * worker, to run()'s serial walk. All bin execution, fault
+ * containment (ErrorPolicy), tracing, and fail-point sites live in the
+ * one executeBin() routine (bin_exec.hh) both paths share.
  *
  * The tour monitor (threads/recovery.hh) supervises each parallel
  * tour: SchedulerConfig::deadlineMillis arms a hard deadline whose
@@ -251,8 +251,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         ctx.cancel = &cancelToken;
     }
 
-    std::vector<Bin *> tour =
-        orderBins(config_.tour, readyBins(), config_.dims);
+    std::vector<Bin *> tour = readyBins();
     const bool superBins = placement_->hierarchical();
     if (superBins)
         tour = groupBySuperBins(std::move(tour));

@@ -3,12 +3,12 @@
  * The execution layer: *how* an ordered bin tour is run.
  *
  * Complementing the placement layer (placement.hh — where a fork
- * goes), a tour the scheduler has already ordered runs every bin
+ * goes), a tour (the ready list, in creation order) runs every bin
  * exactly once, all of them through the one executeBin() routine
  * (bin_exec.hh), on one of two backends:
  *
  *  - serial — the caller walks the tour in order (runSerialTour(),
- *    the body of run()'s ordered branch);
+ *    the body of run(keep = true));
  *  - pooled — the persistent work-stealing pool (worker_pool.hh):
  *    workers parked between tours, occupancy-weighted contiguous
  *    partition, tail stealing. runParallel() (defined in

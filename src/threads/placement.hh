@@ -218,7 +218,8 @@ class BlockHashPlacement final : public PlacementPolicy
 
     bool stateless() const override { return true; }
 
-    /** The underlying hint→block map (tests, fiber scheduler). */
+    /** The underlying hint→block map (tests, the inline batch fork's
+     *  shift-and-hash path). */
     const BlockMap &blockMap() const { return map_; }
 
   private:

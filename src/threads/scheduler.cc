@@ -435,8 +435,7 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
         return;
     }
     if (running_ && !nestedForkOk_) {
-        throw UsageError("fork during run() requires keep == false and "
-                         "the creation-order tour");
+        throw UsageError("fork during run() requires keep == false");
     }
 
     const PlacementDecision where = placeHot_->place(hints);
@@ -481,7 +480,7 @@ LocalityScheduler::run(bool keep)
     LSCHED_ASSERT(!running_, "recursive run()");
     publishReadyTails();
     running_ = true;
-    nestedForkOk_ = !keep && config_.tour == TourPolicy::CreationOrder;
+    nestedForkOk_ = !keep;
     lastFaults_.clear();
     lastFaultsTotal_ = 0;
     std::uint64_t executed = 0;
@@ -560,30 +559,13 @@ LocalityScheduler::run(bool keep)
             pendingThreads_ = 0;
         }
     } else {
-        const std::vector<Bin *> tour =
-            orderBins(config_.tour, readyBins(), config_.dims);
+        // keep: the ready list survives, so walk a snapshot of it —
+        // exactly a one-worker tour, the serial backend's walk
+        // (execution.hh).
+        const std::vector<Bin *> tour = readyBins();
         if (obs::metricsOn())
             detail::recordTourHops(tour, config_.dims);
-        // The ordered tour is exactly a one-worker tour: the serial
-        // backend's walk (execution.hh).
         executed += detail::runSerialTour(tour, ctx);
-        // A cancelled ContinueAndCollect run returns normally, so its
-        // remainder (already accounted by the walk's sweep) must be
-        // recycled here like any completed tour's.
-        const bool cancelledButReturning =
-            ctx.cancelRequested() &&
-            config_.onError == ErrorPolicy::ContinueAndCollect;
-        if (!keep && (!ctx.stopRequested() || cancelledButReturning)) {
-            for (Bin *bin : tour) {
-                pool_.recycleChain(bin->groupsHead);
-                bin->clearGroups();
-                bin->readyNext = nullptr;
-                bin->onReadyList = false;
-            }
-            readyHead_ = nullptr;
-            readyTail_ = nullptr;
-            pendingThreads_ = 0;
-        }
     }
 
     executedThreads_ += executed;
@@ -821,8 +803,7 @@ LocalityScheduler::stats() const
             s.threadsPerBin.add(static_cast<double>(bin->threadCount));
         }
     }
-    s.tourLength = tourLength(
-        orderBins(config_.tour, bins, config_.dims), config_.dims);
+    s.tourLength = tourLength(bins, config_.dims);
     s.pool = workerPoolStats();
     s.stream = streamStats();
     s.recover = recoverySnapshot();

@@ -10,8 +10,8 @@
  *
  * Guarantees:
  *  - threads with hints in the same block always share a bin;
- *  - bins run in tour order (creation order by default, the paper's
- *    ready list), threads within a bin in fork order;
+ *  - bins run in creation order (the paper's ready list), threads
+ *    within a bin in fork order;
  *  - run(keep=true) preserves all thread specifications so the same
  *    schedule can be re-executed (the paper's th_run(keep));
  *  - forking from inside a running thread is legal when keep is
@@ -111,8 +111,6 @@ struct SchedulerConfig
      * super-bins routed to the workers sharing their cache domain.
      */
     std::string topology = "auto";
-    /** Bin traversal order. */
-    TourPolicy tour = TourPolicy::CreationOrder;
     /** What to do with an exception escaping a user thread. */
     ErrorPolicy onError = ErrorPolicy::Abort;
     /**
@@ -377,8 +375,8 @@ class LocalityScheduler
               std::span<const Hint> hints);
 
     /**
-     * Run every scheduled thread, bins in tour order, threads within
-     * a bin in fork order (the paper's th_run). With @p keep the
+     * Run every scheduled thread, bins in creation order, threads
+     * within a bin in fork order (the paper's th_run). With @p keep the
      * specifications survive for re-execution; otherwise all bins and
      * groups are recycled. Returns the number of threads executed.
      *

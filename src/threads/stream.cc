@@ -603,12 +603,11 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
 void
 StreamSession::drainOne(const detail::SealedBin &item, unsigned worker)
 {
-    detail::GroupCursor cursor(item.groups);
     std::uint64_t done = 0;
     try {
         done = detail::executeBin(item.binId, item.threads, fault_,
-                                  worker, cursor, item.superBin,
-                                  item.epoch);
+                                  worker, detail::GroupCursor(item.groups),
+                                  item.superBin, item.epoch);
     } catch (...) {
         // ErrorPolicy::Abort: still retire the chain so the backlog
         // accounting (and any producer backed off on it) stays sane

@@ -273,7 +273,7 @@ TEST_F(CApiTest, ConfigureRejectsUnknownKeysAndBadValues)
     ASSERT_NE(th_last_error(), nullptr);
 
     th_clear_error();
-    EXPECT_EQ(th_configure("tour", "sideways"), -1);
+    EXPECT_EQ(th_configure("on_error", "sideways"), -1);
     ASSERT_NE(th_last_error(), nullptr);
 
     th_clear_error();
@@ -338,10 +338,10 @@ TEST_F(CApiTest, ConfigKeyEnumerationMatchesTheTable)
 TEST_F(CApiTest, RemovedConfigSpellingsAreRejected)
 {
     // Keys match exactly: the camelCase spelling of every multi-word
-    // key (its SchedulerConfig field name), the persistent_pool switch
-    // and the coldspawn backend are all refused with -1 and a recorded
-    // error, on the write and the read path, and the configuration is
-    // left exactly as it was.
+    // key (its SchedulerConfig field name), the persistent_pool switch,
+    // the coldspawn backend and the tour key are all refused with -1
+    // and a recorded error, on the write and the read path, and the
+    // configuration is left exactly as it was.
     const std::vector<std::string> &keys = lsched::threads::configKeys();
     const auto snapshot = [&] {
         std::vector<std::string> values;
@@ -359,6 +359,7 @@ TEST_F(CApiTest, RemovedConfigSpellingsAreRejected)
         {"persistent_pool", "0"},
         {"persistent_pool", "1"},
         {"backend", "coldspawn"},
+        {"tour", "creation"},
     };
     for (std::size_t i = 0; i < keys.size(); ++i) {
         std::string camel;

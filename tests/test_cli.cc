@@ -94,12 +94,12 @@ TEST(Cli, SchedFlagsForwardToTheHook)
         lsched::setCliSchedHook(&captureSched);
     Cli cli = makeCli();
     const char *argv[] = {"prog", "--placement=roundrobin", "--sched",
-                          "tour=snake,stream_max_pending=4096"};
+                          "on_error=continue,stream_max_pending=4096"};
     cli.parse(4, argv);
     lsched::setCliSchedHook(previous);
     EXPECT_EQ(g_hookPlacement, "roundrobin");
     EXPECT_EQ(g_hookBackend, "");
-    EXPECT_EQ(g_hookSched, "tour=snake,stream_max_pending=4096");
+    EXPECT_EQ(g_hookSched, "on_error=continue,stream_max_pending=4096");
 }
 
 using CliDeathTest = ::testing::Test;
@@ -153,11 +153,12 @@ parseSchedAndExitZeroIfApplied()
 {
     Cli cli("prog", "t");
     const char *argv[] = {"prog", "--sched",
-                          "tour=snake,stream_seal_threshold=77"};
+                          "on_error=continue,stream_seal_threshold=77"};
     cli.parse(3, argv);
     lsched::threads::LocalityScheduler s;
     const bool applied =
-        s.config().tour == lsched::threads::TourPolicy::SortedSnake &&
+        s.config().onError ==
+            lsched::threads::ErrorPolicy::ContinueAndCollect &&
         s.config().streamSealThreshold == 77;
     std::exit(applied ? 0 : 7);
 }
@@ -179,7 +180,7 @@ TEST(CliDeathTest, SchedUnknownKeyIsFatal)
 TEST(CliDeathTest, SchedBadValueIsFatal)
 {
     Cli cli = makeCli();
-    const char *argv[] = {"prog", "--sched=tour=sideways"};
+    const char *argv[] = {"prog", "--sched=on_error=sideways"};
     EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(1),
                 "bad value");
 }

@@ -3,7 +3,7 @@
  * Fault containment and error-policy tests: config validation,
  * exception containment under each ErrorPolicy (sequential and
  * parallel), fail-point-driven failures, the runParallel watchdog,
- * fiber fault containment, and the C-boundary error surface.
+ * and the C-boundary error surface.
  *
  * Everything here must stay clean under LSCHED_SANITIZE=thread — no
  * death tests (those live in the main lsched_tests binary).
@@ -19,7 +19,6 @@
 #include <string>
 #include <thread>
 
-#include "fibers/general_scheduler.hh"
 #include "support/error.hh"
 #include "support/failpoint.hh"
 #include "threads/c_api.hh"
@@ -355,57 +354,6 @@ TEST_F(ErrorPolicyTest, WatchdogStaysQuietOnAFastTour)
     EXPECT_EQ(s.runParallel(2), 16u);
     const std::string err = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(err.find("watchdog"), std::string::npos) << err;
-}
-
-// ---------------------------------------------------------------- fibers
-
-TEST_F(ErrorPolicyTest, FiberFaultRethrowsAndResetsByDefault)
-{
-    lsched::fibers::GeneralScheduler sched;
-    sched.fork(
-        [](void *) { throw std::runtime_error("fiber fault"); },
-        nullptr);
-    EXPECT_THROW(sched.run(), std::runtime_error);
-    EXPECT_EQ(sched.liveFibers(), 0u);
-    static std::atomic<int> ran{0};
-    sched.fork([](void *) { ran.fetch_add(1); }, nullptr);
-    EXPECT_EQ(sched.run(), 1u);
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST_F(ErrorPolicyTest, FiberFaultsAreCollectedUnderContinue)
-{
-    lsched::fibers::GeneralSchedulerConfig config;
-    config.onError = ErrorPolicy::ContinueAndCollect;
-    lsched::fibers::GeneralScheduler sched(config);
-    static std::atomic<int> ran{0};
-    ran = 0;
-    sched.fork([](void *) { ran.fetch_add(1); }, nullptr);
-    sched.fork(
-        [](void *) { throw std::runtime_error("fiber fault"); },
-        nullptr);
-    sched.fork([](void *) { ran.fetch_add(1); }, nullptr);
-    EXPECT_EQ(sched.run(), 2u);
-    EXPECT_EQ(ran.load(), 2);
-    EXPECT_EQ(sched.lastFaultCount(), 1u);
-    ASSERT_EQ(sched.lastFaults().size(), 1u);
-    EXPECT_EQ(sched.lastFaults()[0].message, "fiber fault");
-    EXPECT_EQ(sched.faultedFibers(), 1u);
-}
-
-TEST_F(ErrorPolicyTest, FiberFaultAfterYieldIsStillContained)
-{
-    lsched::fibers::GeneralSchedulerConfig config;
-    config.onError = ErrorPolicy::ContinueAndCollect;
-    lsched::fibers::GeneralScheduler sched(config);
-    sched.fork(
-        [](void *) {
-            lsched::fibers::GeneralScheduler::yield();
-            throw std::runtime_error("late fault");
-        },
-        nullptr);
-    EXPECT_EQ(sched.run(), 0u);
-    EXPECT_EQ(sched.lastFaultCount(), 1u);
 }
 
 // ------------------------------------------------------------ C boundary

@@ -39,21 +39,33 @@ smallConfig()
 
 TEST(Scheduler, RunsEveryThreadExactlyOnce)
 {
-    LocalityScheduler s(smallConfig());
-    Log log;
-    for (std::uintptr_t i = 0; i < 100; ++i) {
-        s.fork(&Log::record, &log, reinterpret_cast<void *>(i),
-               static_cast<Hint>(i * 64), 0);
-    }
-    EXPECT_EQ(s.pendingThreads(), 100u);
-    EXPECT_EQ(s.run(), 100u);
-    EXPECT_EQ(s.pendingThreads(), 0u);
-    ASSERT_EQ(log.order.size(), 100u);
-    std::vector<bool> seen(100, false);
-    for (auto tag : log.order) {
-        ASSERT_LT(tag, 100u);
-        EXPECT_FALSE(seen[tag]);
-        seen[tag] = true;
+    // Neighbouring hints along one axis, then hints scattered over a
+    // 2-D grid of small blocks (many bins, created out of order).
+    for (const bool scattered : {false, true}) {
+        SchedulerConfig config = smallConfig();
+        if (scattered)
+            config.blockBytes = 1 << 16;
+        LocalityScheduler s(config);
+        Log log;
+        for (std::uintptr_t i = 0; i < 100; ++i) {
+            const Hint h1 = scattered ? static_cast<Hint>((i * 7) % 13)
+                                            << 16
+                                      : static_cast<Hint>(i * 64);
+            const Hint h2 =
+                scattered ? static_cast<Hint>((i * 3) % 11) << 16 : 0;
+            s.fork(&Log::record, &log, reinterpret_cast<void *>(i), h1,
+                   h2);
+        }
+        EXPECT_EQ(s.pendingThreads(), 100u);
+        EXPECT_EQ(s.run(), 100u);
+        EXPECT_EQ(s.pendingThreads(), 0u);
+        ASSERT_EQ(log.order.size(), 100u);
+        std::vector<bool> seen(100, false);
+        for (auto tag : log.order) {
+            ASSERT_LT(tag, 100u);
+            EXPECT_FALSE(seen[tag]);
+            seen[tag] = true;
+        }
     }
 }
 
@@ -86,6 +98,9 @@ TEST(Scheduler, BinsTraversedInCreationOrder)
     s.fork(&Log::record, &log, reinterpret_cast<void *>(2), 2 * block, 0);
     s.fork(&Log::record, &log, reinterpret_cast<void *>(0), 0, 0);
     s.fork(&Log::record, &log, reinterpret_cast<void *>(1), 1 * block, 0);
+    // The tour is the ready list itself: stats() measures that same
+    // path, 2 -> 0 -> 1 = 3 blocks (the sorted order would be 2).
+    EXPECT_EQ(s.stats().tourLength, 3u);
     s.run();
     EXPECT_EQ(log.order, (std::vector<std::uintptr_t>{2, 0, 1}));
 }
@@ -316,6 +331,29 @@ TEST(SchedulerMisuse, ConfigureWithPendingThreadsThrows)
     EXPECT_EQ(s.stats().pendingThreads, 1u);
     s.run();
     EXPECT_EQ(log.order.size(), 1u);
+}
+
+TEST(SchedulerMisuse, NestedForkWithKeepThrows)
+{
+    LocalityScheduler s(smallConfig());
+    struct Ctx
+    {
+        LocalityScheduler *sched;
+    } ctx{&s};
+    auto forker = [](void *c, void *) {
+        auto *ctx = static_cast<Ctx *>(c);
+        auto noop = [](void *, void *) {};
+        ctx->sched->fork(noop, nullptr, nullptr, 0, 0);
+    };
+    s.fork(forker, &ctx, nullptr, 0, 0);
+    EXPECT_THROW(s.run(true), lsched::UsageError);
+    // The run guard abandoned the tour: the scheduler is reusable.
+    EXPECT_EQ(s.stats().pendingThreads, 0u);
+    Log log;
+    s.fork(&Log::record, &log, reinterpret_cast<void *>(7), 0, 0);
+    s.run();
+    ASSERT_EQ(log.order.size(), 1u);
+    EXPECT_EQ(log.order[0], 7u);
 }
 
 TEST(SchedulerDeathTest, NullFunctionPanics)

@@ -1,4 +1,5 @@
-/** @file Unit tests for bin tour strategies. */
+/** @file Unit tests for the tour helpers: tour length and super-bin
+ *  regrouping. */
 
 #include <gtest/gtest.h>
 
@@ -15,12 +16,31 @@ using namespace lsched::threads;
 std::deque<Bin> storage;
 
 Bin *
-bin(std::uint64_t x, std::uint64_t y = 0)
+bin(std::uint64_t x, std::uint64_t y = 0, std::uint64_t z = 0)
 {
     storage.emplace_back();
     storage.back().coords[0] = x;
     storage.back().coords[1] = y;
+    storage.back().coords[2] = z;
+    storage.back().id = static_cast<std::uint32_t>(storage.size() - 1);
     return &storage.back();
+}
+
+Bin *
+inSuperBin(std::uint32_t superBin)
+{
+    Bin *b = bin(0);
+    b->superBin = superBin;
+    return b;
+}
+
+std::vector<std::uint32_t>
+ids(const std::vector<Bin *> &bins)
+{
+    std::vector<std::uint32_t> out;
+    for (const Bin *b : bins)
+        out.push_back(b->id);
+    return out;
 }
 
 class TourTest : public ::testing::Test
@@ -29,83 +49,19 @@ class TourTest : public ::testing::Test
     void TearDown() override { storage.clear(); }
 };
 
-TEST_F(TourTest, CreationOrderIsIdentity)
+TEST_F(TourTest, TourLengthSumsManhattanHops)
 {
-    std::vector<Bin *> bins{bin(3), bin(1), bin(2)};
-    const auto t = orderBins(TourPolicy::CreationOrder, bins, 1);
-    EXPECT_EQ(t, bins);
-}
-
-TEST_F(TourTest, SnakeSorts1D)
-{
-    std::vector<Bin *> bins{bin(3), bin(1), bin(2)};
-    const auto t = orderBins(TourPolicy::SortedSnake, bins, 1);
-    EXPECT_EQ(t[0]->coords[0], 1u);
-    EXPECT_EQ(t[1]->coords[0], 2u);
-    EXPECT_EQ(t[2]->coords[0], 3u);
-}
-
-TEST_F(TourTest, SnakeAlternatesRowDirection)
-{
-    std::vector<Bin *> bins{bin(0, 0), bin(0, 1), bin(1, 0), bin(1, 1)};
-    const auto t = orderBins(TourPolicy::SortedSnake, bins, 2);
-    // Row 0 ascending, row 1 descending: (0,0) (0,1) (1,1) (1,0).
-    EXPECT_EQ(t[0]->coords[1], 0u);
-    EXPECT_EQ(t[1]->coords[1], 1u);
-    EXPECT_EQ(t[2]->coords[0], 1u);
-    EXPECT_EQ(t[2]->coords[1], 1u);
-    EXPECT_EQ(t[3]->coords[1], 0u);
-    EXPECT_EQ(tourLength(t, 2), 3u); // unit steps only
-}
-
-TEST_F(TourTest, AllPoliciesArePermutations)
-{
-    std::vector<Bin *> bins;
-    for (std::uint64_t i = 0; i < 25; ++i)
-        bins.push_back(bin(i % 5, (i * 7) % 5));
-    for (auto policy :
-         {TourPolicy::CreationOrder, TourPolicy::SortedSnake,
-          TourPolicy::NearestNeighbor, TourPolicy::Hilbert}) {
-        auto t = orderBins(policy, bins, 2);
-        ASSERT_EQ(t.size(), bins.size());
-        auto sorted_in = bins;
-        auto sorted_out = t;
-        std::sort(sorted_in.begin(), sorted_in.end());
-        std::sort(sorted_out.begin(), sorted_out.end());
-        EXPECT_EQ(sorted_in, sorted_out)
-            << "policy " << tourPolicyName(policy);
-    }
-}
-
-TEST_F(TourTest, NearestNeighborBeatsRandomOrderOnGrid)
-{
-    // A shuffled 8x8 grid: greedy NN must produce a much shorter tour
-    // than the shuffled creation order.
-    std::vector<Bin *> bins;
-    for (std::uint64_t i = 0; i < 64; ++i)
-        bins.push_back(bin((i * 37) % 8, (i * 23) % 8));
-    const auto creation = orderBins(TourPolicy::CreationOrder, bins, 2);
-    const auto nn = orderBins(TourPolicy::NearestNeighbor, bins, 2);
-    EXPECT_LT(tourLength(nn, 2), tourLength(creation, 2) / 2);
-}
-
-TEST_F(TourTest, HilbertVisitsNeighborsClose)
-{
-    std::vector<Bin *> bins;
-    for (std::uint64_t x = 0; x < 8; ++x)
-        for (std::uint64_t y = 0; y < 8; ++y)
-            bins.push_back(bin(x, y));
-    const auto t = orderBins(TourPolicy::Hilbert, bins, 2);
-    // The Hilbert tour over a full grid moves one step at a time.
-    EXPECT_EQ(tourLength(t, 2), 63u);
-}
-
-TEST_F(TourTest, HilbertFallsBackToSnakeFor3D)
-{
-    std::vector<Bin *> bins{bin(2, 0), bin(0, 0), bin(1, 0)};
-    const auto h = orderBins(TourPolicy::Hilbert, bins, 3);
-    const auto s = orderBins(TourPolicy::SortedSnake, bins, 3);
-    EXPECT_EQ(h, s);
+    // A 2x2 grid walked row by row, the second row reversed: unit
+    // steps only.
+    const std::vector<Bin *> snake{bin(0, 0), bin(0, 1), bin(1, 1),
+                                   bin(1, 0)};
+    EXPECT_EQ(tourLength(snake, 2), 3u);
+    // The same grid in row-major order pays a diagonal hop.
+    const std::vector<Bin *> rows{bin(0, 0), bin(0, 1), bin(1, 0),
+                                  bin(1, 1)};
+    EXPECT_EQ(tourLength(rows, 2), 4u);
+    // Only the first @p dims coordinates count.
+    EXPECT_EQ(tourLength(rows, 1), 1u);
 }
 
 TEST_F(TourTest, TourLengthOfSingleBinIsZero)
@@ -114,20 +70,62 @@ TEST_F(TourTest, TourLengthOfSingleBinIsZero)
     EXPECT_EQ(tourLength(bins, 2), 0u);
 }
 
-TEST(TourNames, RoundTrip)
+TEST_F(TourTest, EmptyTourHasZeroLength)
 {
-    for (auto policy :
-         {TourPolicy::CreationOrder, TourPolicy::SortedSnake,
-          TourPolicy::NearestNeighbor, TourPolicy::Hilbert}) {
-        TourPolicy parsed = policy == TourPolicy::Hilbert
-                                ? TourPolicy::CreationOrder
-                                : TourPolicy::Hilbert;
-        EXPECT_TRUE(tryTourFromName(tourPolicyName(policy), &parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    TourPolicy out = TourPolicy::NearestNeighbor;
-    EXPECT_FALSE(tryTourFromName("bogus", &out));
-    EXPECT_EQ(out, TourPolicy::NearestNeighbor) << "out must be untouched";
+    EXPECT_EQ(tourLength({}, 3), 0u);
+}
+
+TEST_F(TourTest, ReversedTourHasTheSameLength)
+{
+    std::vector<Bin *> tour{bin(3, 9), bin(0, 0), bin(7, 2), bin(1, 5)};
+    const std::uint64_t forward = tourLength(tour, 2);
+    // |3-0|+|9-0| + |0-7|+|0-2| + |7-1|+|2-5|
+    EXPECT_EQ(forward, 12u + 9u + 9u);
+    std::reverse(tour.begin(), tour.end());
+    EXPECT_EQ(tourLength(tour, 2), forward);
+}
+
+TEST_F(TourTest, ThreeDimensionalHopsSumEveryAxis)
+{
+    const std::vector<Bin *> tour{bin(0, 0, 0), bin(1, 2, 3),
+                                  bin(1, 2, 0)};
+    EXPECT_EQ(tourLength(tour, 3), 6u + 3u);
+    // The third axis is ignored below three dims.
+    EXPECT_EQ(tourLength(tour, 2), 3u);
+}
+
+TEST_F(TourTest, FarApartCoordinatesDoNotWrap)
+{
+    // The hop is taken as max - min, so a step down is not an
+    // unsigned wrap-around.
+    const std::uint64_t far = std::uint64_t{1} << 62;
+    const std::vector<Bin *> tour{bin(far), bin(1), bin(far + 1)};
+    EXPECT_EQ(tourLength(tour, 1), 2 * far - 1);
+}
+
+TEST_F(TourTest, GroupBySuperBinsOfEmptyTourIsEmpty)
+{
+    EXPECT_TRUE(groupBySuperBins({}).empty());
+}
+
+TEST_F(TourTest, GroupBySuperBinsLeavesAnUngroupedTourInOrder)
+{
+    // Flat placements put every bin in kNoSuperBin: the creation-order
+    // tour passes through unchanged.
+    std::vector<Bin *> tour{bin(4), bin(1), bin(3), bin(0), bin(2)};
+    EXPECT_EQ(ids(groupBySuperBins(tour)), ids(tour));
+}
+
+TEST_F(TourTest, GroupBySuperBinsOrdersSuperBinsByIdAndKeepsTourOrder)
+{
+    // Super-bins first met in the order 2, 0, 1; within each, the
+    // tour's order survives the regrouping.
+    const std::vector<Bin *> tour{inSuperBin(2), inSuperBin(0),
+                                  inSuperBin(kNoSuperBin), inSuperBin(2),
+                                  inSuperBin(1), inSuperBin(0),
+                                  inSuperBin(2)};
+    EXPECT_EQ(ids(groupBySuperBins(tour)),
+              (std::vector<std::uint32_t>{1, 5, 4, 0, 3, 6, 2}));
 }
 
 } // namespace
