@@ -8,16 +8,17 @@
  * compulsory / capacity / conflict classifier that backs the paper's
  * cache tables.
  *
- * Run:  ./examples/cache_explorer [r8000|r10000] [footprint_kb]
+ * Run:  ./examples/cache_explorer [--machine=r8000|r10000]
+ *                                 [--footprint-kb=8192]
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "machine/machine_config.hh"
+#include "support/cli.hh"
+#include "support/panic.hh"
 #include "support/prng.hh"
 
 int
@@ -25,16 +26,24 @@ main(int argc, char **argv)
 {
     using namespace lsched;
 
-    const char *which = argc > 1 ? argv[1] : "r8000";
-    const std::uint64_t footprint_kb =
-        argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2]))
-                 : 8 * 1024;
+    Cli cli("cache_explorer",
+            "three access patterns through a simulated two-level "
+            "hierarchy, with the 3C miss breakdown");
+    cli.addString("machine", "r8000", "r8000 or r10000");
+    cli.addInt("footprint-kb", 8 * 1024, "data touched per pass, in KB");
+    cli.parse(argc, argv);
+    const std::string &which = cli.getString("machine");
+    if (which != "r8000" && which != "r10000")
+        LSCHED_FATAL("--machine must be r8000 or r10000, got '", which,
+                     "'");
+    if (cli.getInt("footprint-kb") < 1)
+        LSCHED_FATAL("--footprint-kb must be at least 1");
+    const auto footprint_kb =
+        static_cast<std::uint64_t>(cli.getInt("footprint-kb"));
 
-    machine::MachineConfig mc;
-    if (std::strcmp(which, "r10000") == 0)
-        mc = machine::indigo2ImpactR10000();
-    else
-        mc = machine::powerIndigo2R8000();
+    const machine::MachineConfig mc = which == "r10000"
+                                          ? machine::indigo2ImpactR10000()
+                                          : machine::powerIndigo2R8000();
 
     const std::uint64_t footprint = footprint_kb * 1024;
     const std::uint64_t base = 0x10000000;

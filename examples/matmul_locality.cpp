@@ -8,15 +8,16 @@
  * sweeps the block size to show the Figure-4 cliff. This is the
  * programmatic (C++) API: LocalityScheduler, SimModel, Hierarchy.
  *
- * Run:  ./examples/matmul_locality [n] [scale]
+ * Run:  ./examples/matmul_locality [--n=128] [--scale=64]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "machine/machine_config.hh"
+#include "support/cli.hh"
+#include "support/panic.hh"
 #include "workloads/matmul.hh"
 
 int
@@ -25,10 +26,19 @@ main(int argc, char **argv)
     using namespace lsched;
     using namespace lsched::workloads;
 
-    const std::size_t n =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 128;
-    const unsigned scale =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 64;
+    Cli cli("matmul_locality",
+            "untiled vs threaded matmul through the simulated R8000 "
+            "caches, plus a block-size sweep");
+    cli.addInt("n", 128, "matrix dimension");
+    cli.addInt("scale", 64, "machine scale-down factor (power of two)");
+    cli.parse(argc, argv);
+    if (cli.getInt("n") < 1)
+        LSCHED_FATAL("--n must be at least 1");
+    const std::int64_t scaleArg = cli.getInt("scale");
+    if (scaleArg < 1 || (scaleArg & (scaleArg - 1)) != 0)
+        LSCHED_FATAL("--scale must be a power of two");
+    const auto n = static_cast<std::size_t>(cli.getInt("n"));
+    const auto scale = static_cast<unsigned>(scaleArg);
 
     const auto machine =
         machine::scaled(machine::powerIndigo2R8000(), scale);

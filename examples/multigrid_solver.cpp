@@ -6,13 +6,14 @@
  * says the relaxation kernel "is meant to be nested inside a
  * multigrid partial differential equation solver").
  *
- * Run:  ./examples/multigrid_solver [n] [cycles]
- *       (n must be 2^k - 1; default 255)
+ * Run:  ./examples/multigrid_solver [--n=255] [--cycles=10]
+ *       (n must be 2^k - 1)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "support/cli.hh"
+#include "support/panic.hh"
 #include "support/prng.hh"
 #include "support/timer.hh"
 #include "workloads/multigrid.hh"
@@ -23,10 +24,20 @@ main(int argc, char **argv)
     using namespace lsched;
     using namespace lsched::workloads;
 
-    const std::size_t n =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 255;
-    const unsigned cycles =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 10;
+    Cli cli("multigrid_solver",
+            "multigrid Poisson solver with a locality-scheduled "
+            "red-black smoother");
+    cli.addInt("n", 255, "interior grid points per side (2^k - 1)");
+    cli.addInt("cycles", 10, "most V-cycles to run");
+    cli.parse(argc, argv);
+    const std::int64_t nArg = cli.getInt("n");
+    if (nArg < 1 || ((nArg + 1) & nArg) != 0)
+        LSCHED_FATAL("--n must be 2^k - 1 (1, 3, 7, 15, ...), got ",
+                     nArg);
+    if (cli.getInt("cycles") < 0)
+        LSCHED_FATAL("--cycles must not be negative");
+    const auto n = static_cast<std::size_t>(nArg);
+    const auto cycles = static_cast<unsigned>(cli.getInt("cycles"));
 
     MultigridConfig cfg;
     cfg.threaded = true; // locality-scheduled smoothing threads

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "obs/profile.hh"
-#include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "support/panic.hh"
 #include "threads/scheduler.hh"
@@ -22,34 +21,6 @@ namespace
 
 /** Bound on round-robin bin doubling (a runaway backstop). */
 constexpr std::uint64_t kMaxRoundRobinBins = 1ull << 20;
-
-/** The sched.adapt.* counters, resolved once. */
-struct AdaptInstruments
-{
-    obs::Counter *observations;
-    obs::Counter *retunes;
-    obs::Counter *shrinks;
-    obs::Counter *grows;
-    obs::Counter *reverts;
-    obs::Counter *noSignal;
-};
-
-const AdaptInstruments &
-adaptInstruments()
-{
-    static const AdaptInstruments ins = [] {
-        obs::Registry &r = obs::Registry::global();
-        return AdaptInstruments{
-            &r.counter("sched.adapt.observations"),
-            &r.counter("sched.adapt.retunes"),
-            &r.counter("sched.adapt.shrinks"),
-            &r.counter("sched.adapt.grows"),
-            &r.counter("sched.adapt.reverts"),
-            &r.counter("sched.adapt.no_signal"),
-        };
-    }();
-    return ins;
-}
 
 /** Current absolute profiler totals, summed over the bin table. */
 AdaptSample
@@ -340,26 +311,11 @@ AdaptivePlacement::maybeRetune()
                             tuner_.params().blockBytes,
                             " (sched.adapt.no_signal counts these)");
             }
-            if (obs::metricsOn())
-                adaptInstruments().noSignal->add();
         }
         return false;
     }
 
-    const std::uint64_t retunesBefore = tuner_.retunes();
-    const std::uint64_t shrinksBefore = tuner_.shrinks();
-    const std::uint64_t growsBefore = tuner_.grows();
-    const std::uint64_t revertsBefore = tuner_.reverts();
-    const bool changed = tuner_.observe(delta);
-    if (obs::metricsOn()) {
-        const AdaptInstruments &ins = adaptInstruments();
-        ins.observations->add();
-        ins.retunes->add(tuner_.retunes() - retunesBefore);
-        ins.shrinks->add(tuner_.shrinks() - shrinksBefore);
-        ins.grows->add(tuner_.grows() - growsBefore);
-        ins.reverts->add(tuner_.reverts() - revertsBefore);
-    }
-    if (!changed)
+    if (!tuner_.observe(delta))
         return false;
 
     // Publish the new generation; the old one stays alive for any

@@ -180,7 +180,6 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
     }
     if (metered) {
         const SchedInstruments &ins = schedInstruments();
-        ins.executed->add(executed);
         ins.threadsPerBin->record(executed);
         ins.binDwellNs->record(obs::nowNs() - t0);
     }

@@ -1,6 +1,5 @@
 #include "c_api.hh"
 
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -18,6 +17,7 @@
 #include "support/error.hh"
 #include "support/failpoint.hh"
 #include "threads/config_keys.hh"
+#include "threads/stat_fields.hh"
 
 namespace
 {
@@ -93,19 +93,15 @@ copyOut(const std::string &value, char *buf, std::size_t len)
 }
 
 /**
- * The merged name -> value table behind th_metric_*, sorted by name.
- *
- * Two sources, synthesized rows winning on a name collision so the
- * stats snapshot and the metric surface can never disagree:
- *
- *  - every obs Registry instrument: counters and gauges under their
- *    own names, histograms flattened to name.count / name.sum;
- *  - every th_stats_t field, synthesized from the scheduler's live
- *    SchedulerStats under its established registry name, plus the
- *    SchedulerStats fields newer than the frozen struct
- *    (sched.stream.drain_parks). These rows exist even when metrics
- *    are disabled or compiled out, so the named surface is never
- *    weaker than the frozen struct.
+ * The merged name -> value table behind th_metric_*, sorted by name:
+ * every obs Registry instrument (counters and gauges under their own
+ * names, histograms flattened to name.count / name.sum), then every
+ * statistics row (threads/stat_fields.hh) read from one stats()
+ * snapshot of the default scheduler. The registry holds no copy of a
+ * statistic, only the gauge of whichever scheduler published last, so
+ * the default scheduler's row takes the name. The rows exist even
+ * with metrics disabled or compiled out, so this surface is never
+ * weaker than th_stats_t.
  */
 std::vector<std::pair<std::string, unsigned long long>>
 metricTable()
@@ -120,65 +116,10 @@ metricTable()
             table[row.name] = row.value;
         }
     }
-    const th_stats_t s = th_stats();
-    const auto put = [&table](const char *name,
-                              unsigned long long value) {
-        table[name] = value;
-    };
-    put("sched.pending_threads", s.pending_threads);
-    put("sched.executed_threads", s.executed_threads);
-    put("sched.bins", s.bins);
-    put("sched.bins.occupied", s.occupied_bins);
-    put("sched.hash.max_chain", s.max_hash_chain);
-    put("sched.tour.length", s.tour_length);
-    put("sched.pool.threads", s.pool_threads_spawned);
-    put("sched.pool.steals", s.pool_steals);
-    put("sched.pool.parks", s.pool_parks);
-    put("sched.placement",
-        static_cast<unsigned long long>(s.placement));
-    put("sched.backend", static_cast<unsigned long long>(s.backend));
-    put("sched.bin.threads.mean", static_cast<unsigned long long>(
-                                      std::llround(s.threads_per_bin_mean)));
-    put("sched.bin.threads.min", static_cast<unsigned long long>(
-                                     std::llround(s.threads_per_bin_min)));
-    put("sched.bin.threads.max", static_cast<unsigned long long>(
-                                     std::llround(s.threads_per_bin_max)));
-    put("sched.bin.threads.stddev",
-        static_cast<unsigned long long>(
-            std::llround(s.threads_per_bin_stddev)));
-    put("sched.faulted_threads", s.faulted_threads);
-    put("sched.last_fault_count", s.last_fault_count);
-    put("sched.stream.forked", s.stream_forked);
-    put("sched.stream.executed", s.stream_executed);
-    put("sched.stream.seals", s.stream_seals);
-    put("sched.stream.backpressure", s.stream_backpressure_waits);
-    put("sched.stream.inline_drains", s.stream_inline_drains);
-    put("sched.stream.backlog", s.stream_backlog);
-    put("sched.stream.peak_backlog", s.stream_peak_backlog);
-    put("sched.recover.deadlines", s.recover_deadlines);
-    put("sched.recover.watchdog_cancels", s.recover_watchdog_cancels);
-    put("sched.recover.cancelled_bins", s.recover_cancelled_bins);
-    put("sched.recover.cancelled_threads",
-        s.recover_cancelled_threads);
-    put("sched.recover.admission_retries",
-        s.recover_admission_retries);
-    put("sched.recover.admission_timeouts",
-        s.recover_admission_timeouts);
-    put("sched.recover.load_sheds", s.recover_load_sheds);
-    put("sched.recover.degraded_tours", s.recover_degraded_tours);
-    put("sched.recover.recoveries", s.recover_recoveries);
-    put("sched.recover.state",
-        static_cast<unsigned long long>(s.recover_state));
-    put("sched.adapt.retunes", s.adapt_retunes);
-    put("sched.adapt.observations", s.adapt_observations);
-    put("sched.adapt.block_bytes", s.adapt_block_bytes);
-    put("sched.adapt.super_bin_fan", s.adapt_super_bin_fan);
-    put("sched.adapt.regime",
-        static_cast<unsigned long long>(s.adapt_regime));
-    put("sched.pool.pin_failed", s.pool_pin_failed);
-    put("sched.pool.cross_steals", s.pool_cross_domain_steals);
-    // Past the frozen v1 struct: read from the scheduler's own stats.
-    put("sched.stream.drain_parks", instance().stats().stream.drainParks);
+    const lsched::threads::SchedulerStats s = instance().stats();
+    for (const lsched::threads::StatField &field :
+         lsched::threads::statFields())
+        table[field.name] = field.value(s, instance().config());
     return {table.begin(), table.end()};
 }
 
@@ -242,49 +183,12 @@ th_stats_t
 th_stats(void)
 {
     const lsched::threads::SchedulerStats s = instance().stats();
-    th_stats_t out;
-    out.pending_threads = s.pendingThreads;
-    out.executed_threads = s.executedThreads;
-    out.bins = s.bins;
-    out.occupied_bins = s.occupiedBins;
-    out.max_hash_chain = s.maxHashChain;
-    out.tour_length = s.tourLength;
-    out.pool_threads_spawned = s.pool.threadsSpawned;
-    out.pool_steals = s.pool.steals;
-    out.pool_parks = s.pool.parks;
-    out.placement = static_cast<int>(instance().config().placement);
-    out.backend = static_cast<int>(instance().config().backend);
-    const bool any = s.threadsPerBin.count() > 0;
-    out.threads_per_bin_mean = any ? s.threadsPerBin.mean() : 0;
-    out.threads_per_bin_min = any ? s.threadsPerBin.min() : 0;
-    out.threads_per_bin_max = any ? s.threadsPerBin.max() : 0;
-    out.threads_per_bin_stddev = any ? s.threadsPerBin.stddev() : 0;
-    out.faulted_threads = s.faultedThreads;
-    out.last_fault_count = instance().lastFaultCount();
-    out.stream_forked = s.stream.forked;
-    out.stream_executed = s.stream.executed;
-    out.stream_seals = s.stream.seals;
-    out.stream_backpressure_waits = s.stream.backpressureWaits;
-    out.stream_inline_drains = s.stream.inlineDrains;
-    out.stream_backlog = s.stream.backlog;
-    out.stream_peak_backlog = s.stream.peakBacklog;
-    out.recover_deadlines = s.recover.deadlines;
-    out.recover_watchdog_cancels = s.recover.watchdogCancels;
-    out.recover_cancelled_bins = s.recover.cancelledBins;
-    out.recover_cancelled_threads = s.recover.cancelledThreads;
-    out.recover_admission_retries = s.recover.admissionRetries;
-    out.recover_admission_timeouts = s.recover.admissionTimeouts;
-    out.recover_load_sheds = s.recover.loadSheds;
-    out.recover_degraded_tours = s.recover.degradedTours;
-    out.recover_recoveries = s.recover.recoveries;
-    out.recover_state = static_cast<int>(s.recover.state);
-    out.adapt_retunes = s.adapt.retunes;
-    out.adapt_observations = s.adapt.observations;
-    out.adapt_block_bytes = s.adapt.blockBytes;
-    out.adapt_super_bin_fan = s.adapt.superBinFan;
-    out.adapt_regime = static_cast<int>(s.adapt.regime);
-    out.pool_pin_failed = s.pool.pinFailed;
-    out.pool_cross_domain_steals = s.pool.crossSteals;
+    th_stats_t out{};
+    for (const lsched::threads::StatField &field :
+         lsched::threads::statFields()) {
+        if (field.fill)
+            field.fill(out, s, instance().config());
+    }
     return out;
 }
 
@@ -729,55 +633,17 @@ th_stats_(long long *values, const int *count)
 {
     if (!values || !count || *count <= 0)
         return;
-    const th_stats_t s = th_stats();
-    // Field order mirrors th_stats_t exactly; both are append-only.
-    const long long fields[] = {
-        static_cast<long long>(s.pending_threads),
-        static_cast<long long>(s.executed_threads),
-        static_cast<long long>(s.bins),
-        static_cast<long long>(s.occupied_bins),
-        static_cast<long long>(s.max_hash_chain),
-        static_cast<long long>(s.tour_length),
-        static_cast<long long>(s.pool_threads_spawned),
-        static_cast<long long>(s.pool_steals),
-        static_cast<long long>(s.pool_parks),
-        s.placement,
-        s.backend,
-        std::llround(s.threads_per_bin_mean),
-        std::llround(s.threads_per_bin_min),
-        std::llround(s.threads_per_bin_max),
-        std::llround(s.threads_per_bin_stddev),
-        static_cast<long long>(s.faulted_threads),
-        static_cast<long long>(s.last_fault_count),
-        static_cast<long long>(s.stream_forked),
-        static_cast<long long>(s.stream_executed),
-        static_cast<long long>(s.stream_seals),
-        static_cast<long long>(s.stream_backpressure_waits),
-        static_cast<long long>(s.stream_inline_drains),
-        static_cast<long long>(s.stream_backlog),
-        static_cast<long long>(s.stream_peak_backlog),
-        static_cast<long long>(s.recover_deadlines),
-        static_cast<long long>(s.recover_watchdog_cancels),
-        static_cast<long long>(s.recover_cancelled_bins),
-        static_cast<long long>(s.recover_cancelled_threads),
-        static_cast<long long>(s.recover_admission_retries),
-        static_cast<long long>(s.recover_admission_timeouts),
-        static_cast<long long>(s.recover_load_sheds),
-        static_cast<long long>(s.recover_degraded_tours),
-        static_cast<long long>(s.recover_recoveries),
-        s.recover_state,
-        static_cast<long long>(s.adapt_retunes),
-        static_cast<long long>(s.adapt_observations),
-        static_cast<long long>(s.adapt_block_bytes),
-        static_cast<long long>(s.adapt_super_bin_fan),
-        s.adapt_regime,
-        static_cast<long long>(s.pool_pin_failed),
-        static_cast<long long>(s.pool_cross_domain_steals),
-    };
-    const int have = static_cast<int>(sizeof(fields) / sizeof(fields[0]));
-    const int n = *count < have ? *count : have;
-    for (int i = 0; i < n; ++i)
-        values[i] = fields[i];
+    const lsched::threads::SchedulerStats s = instance().stats();
+    // The th_stats_t rows, in its declaration order (the named-only
+    // rows follow them in the table).
+    int n = 0;
+    for (const lsched::threads::StatField &field :
+         lsched::threads::statFields()) {
+        if (n == *count || !field.fill)
+            break;
+        values[n++] =
+            static_cast<long long>(field.value(s, instance().config()));
+    }
 }
 
 void

@@ -251,15 +251,17 @@ int th_config_keys(void);
 int th_config_key(int index, char *buf, std::size_t len);
 
 /**
- * Named-metric surface over the scheduler's observability registry —
- * the replacement for growing th_stats_t (which is frozen as the v1
- * snapshot; no new fields will be appended). Every "sched.*" counter
- * and gauge th_stats_t carries is available here under its registry
- * name ("sched.threads.forked", "sched.stream.backlog", ...), plus
- * whatever instruments are live when metrics collection is on
- * (histograms surface as name.count / name.sum). Values the scheduler
- * synthesizes from its own statistics are always available, metrics
- * collection on or off.
+ * Named-metric surface — the replacement for growing th_stats_t
+ * (which is frozen as the v1 snapshot; no new fields will be
+ * appended). Every scheduler statistic (threads/stat_fields.hh, the
+ * README "Scheduler metrics" table), each th_stats_t field among them,
+ * is read by name from the default scheduler's stats()
+ * ("sched.executed_threads", "sched.stream.backlog", ...), metrics
+ * collection on or off. Merged in are the obs registry's instruments
+ * that are live when metrics collection is on: the few events only
+ * the registry counts ("sched.threads.forked", "sched.runs", ...),
+ * histograms as name.count / name.sum, and the cache simulator's
+ * gauges.
  *
  * Number of metrics currently visible. Enumerate with
  * th_metric_name(); read with th_metric_get(). The count (and the

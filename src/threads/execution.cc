@@ -219,8 +219,6 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         // keeping up. run() feeds the governor, so sustained healthy
         // tours step back up.
         recovery_.degradedTours.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metricsOn())
-            detail::schedInstruments().recoverDegradedTours->add();
         LSCHED_WARN("overload governor degraded: runParallel(", workers,
                     ") stepping down to the serial path");
         LSCHED_TRACE_EVENT(
@@ -393,6 +391,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
     placement_->maybeRetune();
     refreshHotPlacement();
     guard.commit();
+    publishMetrics();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, executed);
     return executed;
 }

@@ -12,7 +12,6 @@
 
 #include "obs/trace.hh"
 #include "support/panic.hh"
-#include "threads/sched_obs.hh"
 #include "threads/worker_pool.hh"
 
 namespace lsched::threads
@@ -162,8 +161,6 @@ TourMonitor::body()
                 spec_.recovery->deadlines.fetch_add(
                     1, std::memory_order_relaxed);
             }
-            if (obs::metricsOn())
-                schedInstruments().recoverDeadlines->add();
             spec_.cancel->request(CancelReason::Deadline);
         }
         if (watchdogArmed && now >= watchdogAt) {
@@ -174,8 +171,6 @@ TourMonitor::body()
                     spec_.recovery->watchdogCancels.fetch_add(
                         1, std::memory_order_relaxed);
                 }
-                if (obs::metricsOn())
-                    schedInstruments().recoverWatchdogCancels->add();
                 spec_.cancel->request(CancelReason::Watchdog);
             } else {
                 watchdogAt += watchdogPeriod;
@@ -257,8 +252,6 @@ OverloadGovernor::observe(bool overloaded)
                 stats_->recoveries.fetch_add(1,
                                              std::memory_order_relaxed);
             }
-            if (obs::metricsOn())
-                detail::schedInstruments().recoverRecoveries->add();
         }
         break;
     }

@@ -23,8 +23,8 @@
  *    tours step down to the serial backend) and after recoverEpochs
  *    consecutive healthy epochs it recovers.
  *
- *  - RecoveryStats — per-scheduler counters mirrored into the
- *    sched.recover.* registry instruments, so degradation and
+ *  - RecoveryStats — per-scheduler counters, published as the
+ *    sched.recover.* statistics (stat_fields.hh), so degradation and
  *    recovery are observable in metrics dumps and th_stats.
  */
 

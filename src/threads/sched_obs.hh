@@ -1,9 +1,15 @@
 /**
  * @file
  * Internal observability glue for the locality scheduler: the cached
- * registry instruments shared by scheduler.cc, the execution backends,
- * and the worker pool, plus the tour-hop helpers. The instrumented
+ * registry instruments shared by scheduler.cc, the execution backends
+ * and the stream, plus the tour-hop helpers. The instrumented
  * bin-execution loop itself lives in bin_exec.hh.
+ *
+ * The registry counts only what no scheduler statistic carries
+ * (forks, runs, bins created, four distributions). Every count the
+ * scheduler already keeps lives in SchedulerStats alone and reaches
+ * the registry as a gauge through stat_fields.hh, never as a second
+ * counter here.
  *
  * Everything here is gated on obs::traceOn() / obs::metricsOn(); with
  * the LSCHED_TRACE_ENABLED build option off those fold to constant
@@ -24,31 +30,12 @@
 namespace lsched::threads::detail
 {
 
-/** The scheduler's process-global instruments, resolved once. */
+/** The scheduler's registry-only instruments, resolved once. */
 struct SchedInstruments
 {
     obs::Counter *forked;
-    obs::Counter *executed;
     obs::Counter *runs;
     obs::Counter *binsCreated;
-    obs::Counter *faulted;
-    obs::Counter *poolSteals;
-    obs::Counter *poolParks;
-    obs::Counter *poolCrossSteals;
-    obs::Counter *poolPinFailed;
-    obs::Counter *streamForked;
-    obs::Counter *streamSeals;
-    obs::Counter *streamBackpressure;
-    obs::Counter *streamInline;
-    obs::Counter *recoverDeadlines;
-    obs::Counter *recoverWatchdogCancels;
-    obs::Counter *recoverCancelledBins;
-    obs::Counter *recoverCancelledThreads;
-    obs::Counter *recoverAdmissionRetries;
-    obs::Counter *recoverAdmissionTimeouts;
-    obs::Counter *recoverLoadSheds;
-    obs::Counter *recoverDegradedTours;
-    obs::Counter *recoverRecoveries;
     obs::Histogram *hashProbes;
     obs::Histogram *threadsPerBin;
     obs::Histogram *binDwellNs;

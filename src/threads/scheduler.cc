@@ -10,6 +10,7 @@
 #include "threads/bin_exec.hh"
 #include "threads/config_keys.hh"
 #include "threads/sched_obs.hh"
+#include "threads/stat_fields.hh"
 
 namespace lsched::threads
 {
@@ -24,27 +25,8 @@ schedInstruments()
         obs::Registry &r = obs::Registry::global();
         return SchedInstruments{
             &r.counter("sched.threads.forked"),
-            &r.counter("sched.threads.executed"),
             &r.counter("sched.runs"),
             &r.counter("sched.bins.created"),
-            &r.counter("sched.threads.faulted"),
-            &r.counter("sched.pool.steals"),
-            &r.counter("sched.pool.parks"),
-            &r.counter("sched.pool.cross_steals"),
-            &r.counter("sched.pool.pin_failed"),
-            &r.counter("sched.stream.forked"),
-            &r.counter("sched.stream.seals"),
-            &r.counter("sched.stream.backpressure"),
-            &r.counter("sched.stream.inline_drains"),
-            &r.counter("sched.recover.deadlines"),
-            &r.counter("sched.recover.watchdog_cancels"),
-            &r.counter("sched.recover.cancelled_bins"),
-            &r.counter("sched.recover.cancelled_threads"),
-            &r.counter("sched.recover.admission_retries"),
-            &r.counter("sched.recover.admission_timeouts"),
-            &r.counter("sched.recover.load_sheds"),
-            &r.counter("sched.recover.degraded_tours"),
-            &r.counter("sched.recover.recoveries"),
             &r.histogram("sched.hash.probes"),
             &r.histogram("sched.bin.threads"),
             &r.histogram("sched.bin.dwell_ns"),
@@ -78,8 +60,6 @@ noteFault(FaultCtx &ctx, std::uint32_t binId, unsigned worker)
         ctx.stop.store(true, std::memory_order_relaxed);
 
     LSCHED_TRACE_EVENT(obs::EventType::ThreadFault, binId, worker);
-    if (obs::metricsOn())
-        schedInstruments().faulted->add();
 }
 
 void
@@ -113,11 +93,6 @@ noteCancelledBin(FaultCtx &ctx, std::uint32_t binId, unsigned worker,
     }
     LSCHED_TRACE_EVENT(obs::EventType::BinCancelled, binId, worker,
                        threads);
-    if (obs::metricsOn()) {
-        const SchedInstruments &ins = schedInstruments();
-        ins.recoverCancelledBins->add();
-        ins.recoverCancelledThreads->add(threads);
-    }
 }
 
 } // namespace detail
@@ -595,6 +570,7 @@ LocalityScheduler::run(bool keep)
     placement_->maybeRetune();
     refreshHotPlacement();
     guard.commit();
+    publishMetrics();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, executed);
     return executed;
 }
@@ -670,6 +646,7 @@ LocalityScheduler::streamEnd()
     // adaptive placement before the next run begins.
     placement_->maybeRetune();
     refreshHotPlacement();
+    publishMetrics();
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, s.executed);
     if (abortError)
         std::rethrow_exception(abortError);
@@ -794,6 +771,7 @@ LocalityScheduler::stats() const
     s.pendingThreads = pendingThreads_;
     s.executedThreads = executedThreads_;
     s.faultedThreads = faultedThreads_;
+    s.lastFaultCount = lastFaultsTotal_;
     s.bins = table_.binCount();
     s.maxHashChain = table_.maxChainLength();
     const std::vector<Bin *> bins = readyBins();
@@ -825,48 +803,19 @@ LocalityScheduler::stats() const
     s.topology.domains = lastTourDomains_;
     s.topology.domainWorkers = lastTourDomainWorkers_;
 
-    // The registry is the export path for these numbers: every
-    // snapshot refreshes the scheduler gauges so a --metrics dump (or
-    // the harness JSON report) carries the same values this struct
-    // reports.
     if (obs::metricsOn()) {
         obs::Registry &r = obs::Registry::global();
-        r.gauge("sched.pending_threads").set(s.pendingThreads);
-        r.gauge("sched.executed_threads").set(s.executedThreads);
-        r.gauge("sched.faulted_threads").set(s.faultedThreads);
-        r.gauge("sched.bins").set(s.bins);
-        r.gauge("sched.bins.occupied").set(s.occupiedBins);
-        r.gauge("sched.hash.max_chain").set(s.maxHashChain);
-        r.gauge("sched.tour.length").set(s.tourLength);
-        r.gauge("sched.pool.threads").set(s.pool.threadsSpawned);
-        r.gauge("sched.pool.tours").set(s.pool.tours);
-        r.gauge("sched.stream.backlog").set(s.stream.backlog);
-        r.gauge("sched.stream.peak_backlog")
-            .set(s.stream.peakBacklog);
-        r.gauge("sched.stream.drain_parks").set(s.stream.drainParks);
-        r.gauge("sched.recover.state")
-            .set(static_cast<std::uint64_t>(s.recover.state));
-        r.gauge("sched.recover.deadline_millis")
-            .set(config_.deadlineMillis);
-        if (s.adapt.active) {
-            r.gauge("sched.adapt.block_bytes").set(s.adapt.blockBytes);
-            r.gauge("sched.adapt.super_bin_fan")
-                .set(s.adapt.superBinFan);
-            r.gauge("sched.adapt.regime")
-                .set(static_cast<std::uint64_t>(s.adapt.regime));
-            r.gauge("sched.adapt.retunes").set(s.adapt.retunes);
-        }
-        r.gauge("sched.pool.pin_failed").set(s.pool.pinFailed);
-        if (s.topology.active) {
-            r.gauge("sched.topology.l2_groups").set(s.topology.l2Groups);
-            r.gauge("sched.topology.domains").set(s.topology.domains);
-            r.gauge("sched.topology.domain_workers")
-                .set(s.topology.domainWorkers);
-            r.gauge("sched.topology.cross_steals")
-                .set(s.pool.crossSteals);
-        }
+        for (const StatField &field : statFields())
+            r.gauge(field.name).set(field.value(s, config_));
     }
     return s;
+}
+
+void
+LocalityScheduler::publishMetrics() const
+{
+    if (obs::metricsOn())
+        stats(); // publishes the snapshot it takes
 }
 
 bool

@@ -276,6 +276,9 @@ struct SchedulerStats
     std::uint64_t executedThreads = 0;
     /** User threads whose exception was contained (lifetime). */
     std::uint64_t faultedThreads = 0;
+    /** Faults contained by the most recent run or stream (the
+     *  lastFaultCount() total). */
+    std::uint64_t lastFaultCount = 0;
     /** Bins currently allocated. */
     std::uint64_t bins = 0;
     /** Non-empty bins. */
@@ -459,8 +462,20 @@ class LocalityScheduler
     /** Bins allocated so far. */
     std::uint64_t binCount() const { return table_.binCount(); }
 
-    /** Snapshot of occupancy statistics. */
+    /**
+     * Snapshot of the scheduler's statistics. With obs::metricsOn()
+     * every snapshot is also published as registry gauges, one per
+     * row of threads/stat_fields.hh.
+     */
     SchedulerStats stats() const;
+
+    /**
+     * Publish a stats() snapshot to the registry; a no-op unless
+     * obs::metricsOn(). run(), runParallel() and streamEnd() call it
+     * as they return, so a --metrics dump carries the final values
+     * whether or not the program ever calls stats().
+     */
+    void publishMetrics() const;
 
     /** Per-bin thread counts in ready order (for tests/reports). */
     std::vector<std::uint64_t> binOccupancy() const;

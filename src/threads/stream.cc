@@ -379,8 +379,6 @@ StreamSession::waitAtGate(std::uint64_t ticket)
         }
         LSCHED_TRACE_EVENT(obs::EventType::Backpressure, backlog(),
                            maxPending_);
-        if (obs::metricsOn())
-            detail::schedInstruments().streamBackpressure->add();
         // First choice: help. An inline drain or a force-seal is
         // forward progress this producer made itself.
         if (tryHelp()) {
@@ -416,16 +414,10 @@ StreamSession::waitAtGate(std::uint64_t ticket)
             recovery_->admissionRetries.fetch_add(
                 1, std::memory_order_relaxed);
         }
-        if (obs::metricsOn())
-            detail::schedInstruments().recoverAdmissionRetries->add();
         if (admitRetries_ && noProgress >= admitRetries_) {
             if (recovery_) {
                 recovery_->admissionTimeouts.fetch_add(
                     1, std::memory_order_relaxed);
-            }
-            if (obs::metricsOn()) {
-                detail::schedInstruments()
-                    .recoverAdmissionTimeouts->add();
             }
             const std::uint64_t cur = backlog();
             LSCHED_TRACE_EVENT(obs::EventType::AdmissionTimeout, cur,
@@ -455,8 +447,6 @@ StreamSession::tryHelp()
     detail::SealedBin item;
     if (queue_.tryPop(item)) {
         inlineDrains_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metricsOn())
-            detail::schedInstruments().streamInline->add();
         InlineDrainScope inDrain;
         drainOne(item, 0);
         return true;
@@ -484,8 +474,6 @@ StreamSession::enqueue(const detail::SealedBin &item)
 {
     LSCHED_TRACE_EVENT(obs::EventType::StreamSeal, item.binId,
                        item.epoch, item.threads);
-    if (obs::metricsOn())
-        detail::schedInstruments().streamSeals->add();
     while (!queue_.tryPush(item)) {
         // Ring full: relieve it ourselves instead of spinning — in
         // the inline-only mode (no pool) nobody else ever would.
@@ -585,7 +573,6 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             const detail::SchedInstruments &ins =
                 detail::schedInstruments();
             ins.forked->add();
-            ins.streamForked->add();
             if (created)
                 ins.binsCreated->add();
         }
@@ -703,8 +690,6 @@ StreamSession::monitorMain()
                     recovery_->deadlines.fetch_add(
                         1, std::memory_order_relaxed);
                 }
-                if (obs::metricsOn())
-                    detail::schedInstruments().recoverDeadlines->add();
                 cancel_.request(CancelReason::Deadline);
             }
             sawBacklog = queued > 0;
@@ -779,8 +764,6 @@ StreamSession::shedLoad()
     const std::uint64_t shedBins = sealAll();
     if (recovery_)
         recovery_->loadSheds.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metricsOn())
-        detail::schedInstruments().recoverLoadSheds->add();
     LSCHED_WARN("stream overload: degraded; force-sealed ", shedBins,
                 " open bin(s) for the drain");
     LSCHED_TRACE_EVENT(obs::EventType::LoadShed, shedBins, backlog(),

@@ -10,8 +10,8 @@
 #include <string>
 
 #include "obs/profile.hh"
+#include "obs/trace.hh"
 #include "support/panic.hh"
-#include "threads/sched_obs.hh"
 
 #ifdef __linux__
 #include <pthread.h>
@@ -305,8 +305,6 @@ WorkerPool::helperMain(unsigned helperIndex, std::uint64_t startEpoch)
             // partitioning degrades to plain stealing. Count every
             // failure, diagnose once per process.
             pinFailed_.fetch_add(1, std::memory_order_relaxed);
-            if (obs::metricsOn())
-                detail::schedInstruments().poolPinFailed->add();
             static std::atomic<bool> warned{false};
             if (!warned.exchange(true, std::memory_order_relaxed)) {
                 LSCHED_WARN("pinning worker ", id, " to cpu ", cpu,
@@ -322,8 +320,6 @@ WorkerPool::helperMain(unsigned helperIndex, std::uint64_t startEpoch)
         if (!shutdown_ && epoch_ == seen) {
             parks_.fetch_add(1, std::memory_order_relaxed);
             LSCHED_TRACE_EVENT(obs::EventType::WorkerPark, id, seen);
-            if (obs::metricsOn())
-                detail::schedInstruments().poolParks->add();
             wakeCv_.wait(lock,
                          [&] { return shutdown_ || epoch_ != seen; });
         }
@@ -434,13 +430,9 @@ WorkerPool::workerLoop(unsigned id, detail::PoolJob &job)
             steals_.fetch_add(1, std::memory_order_relaxed);
             LSCHED_TRACE_EVENT(obs::EventType::StealBin, bin->id,
                                victim, id);
-            if (obs::metricsOn())
-                detail::schedInstruments().poolSteals->add();
             if (job.workerDomain != nullptr && job.domains > 0 &&
                 job.workerDomain[victim] != job.workerDomain[id]) {
                 crossSteals_.fetch_add(1, std::memory_order_relaxed);
-                if (obs::metricsOn())
-                    detail::schedInstruments().poolCrossSteals->add();
             }
         }
         LSCHED_TRACE_EVENT(obs::EventType::WorkerClaimBin, bin->id,

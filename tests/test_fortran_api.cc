@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -150,24 +153,62 @@ TEST_F(FortranApiTest, StatsArrayMirrorsTheStruct)
         th_fork_(&scaleElement, &x, &f, &x, nullptr, nullptr);
 
     const th_stats_t s = th_stats();
-    long long values[40] = {};
-    const int count = 40;
+    long long values[48];
+    std::fill(std::begin(values), std::end(values), -7);
+    const int count = 48;
     th_stats_(values, &count);
-    // Spot-check the mirror against the struct, including an appended
-    // field past the original layout (same append-only order).
-    EXPECT_EQ(values[0],
-              static_cast<long long>(s.pending_threads));
+    // Every th_stats_t field, in declaration order (written out here,
+    // not taken from the library's table); reals rounded.
+    const long long want[] = {
+        static_cast<long long>(s.pending_threads),
+        static_cast<long long>(s.executed_threads),
+        static_cast<long long>(s.bins),
+        static_cast<long long>(s.occupied_bins),
+        static_cast<long long>(s.max_hash_chain),
+        static_cast<long long>(s.tour_length),
+        static_cast<long long>(s.pool_threads_spawned),
+        static_cast<long long>(s.pool_steals),
+        static_cast<long long>(s.pool_parks),
+        s.placement,
+        s.backend,
+        std::llround(s.threads_per_bin_mean),
+        std::llround(s.threads_per_bin_min),
+        std::llround(s.threads_per_bin_max),
+        std::llround(s.threads_per_bin_stddev),
+        static_cast<long long>(s.faulted_threads),
+        static_cast<long long>(s.last_fault_count),
+        static_cast<long long>(s.stream_forked),
+        static_cast<long long>(s.stream_executed),
+        static_cast<long long>(s.stream_seals),
+        static_cast<long long>(s.stream_backpressure_waits),
+        static_cast<long long>(s.stream_inline_drains),
+        static_cast<long long>(s.stream_backlog),
+        static_cast<long long>(s.stream_peak_backlog),
+        static_cast<long long>(s.recover_deadlines),
+        static_cast<long long>(s.recover_watchdog_cancels),
+        static_cast<long long>(s.recover_cancelled_bins),
+        static_cast<long long>(s.recover_cancelled_threads),
+        static_cast<long long>(s.recover_admission_retries),
+        static_cast<long long>(s.recover_admission_timeouts),
+        static_cast<long long>(s.recover_load_sheds),
+        static_cast<long long>(s.recover_degraded_tours),
+        static_cast<long long>(s.recover_recoveries),
+        s.recover_state,
+        static_cast<long long>(s.adapt_retunes),
+        static_cast<long long>(s.adapt_observations),
+        static_cast<long long>(s.adapt_block_bytes),
+        static_cast<long long>(s.adapt_super_bin_fan),
+        s.adapt_regime,
+        static_cast<long long>(s.pool_pin_failed),
+        static_cast<long long>(s.pool_cross_domain_steals),
+    };
+    static_assert(std::size(want) == 41, "th_stats_t has 41 fields");
+    for (std::size_t i = 0; i < std::size(want); ++i)
+        EXPECT_EQ(values[i], want[i]) << "index " << i;
     EXPECT_EQ(values[0], 5);
-    EXPECT_EQ(values[2], static_cast<long long>(s.bins));
-    EXPECT_EQ(values[9], s.placement);
-    EXPECT_EQ(values[10], s.backend);
-    EXPECT_EQ(values[15],
-              static_cast<long long>(s.faulted_threads));
-    EXPECT_EQ(values[17],
-              static_cast<long long>(s.stream_forked));
-    EXPECT_EQ(values[24],
-              static_cast<long long>(s.recover_deadlines));
-    EXPECT_EQ(values[33], s.recover_state);
+    // A COUNT past the struct writes exactly its 41 values.
+    for (std::size_t i = std::size(want); i < std::size(values); ++i)
+        EXPECT_EQ(values[i], -7) << "index " << i;
 
     // A short COUNT caps the fill and touches nothing past it.
     long long partial[4] = {-7, -7, -7, -7};

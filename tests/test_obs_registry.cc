@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the metrics registry: instrument semantics, export
- * renderings, and correctness under concurrent runParallel updates.
+ * renderings, correctness under concurrent runParallel updates, and
+ * the scheduler publishing each statistic once, as one gauge.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "obs/registry.hh"
+#include "obs/snapshot.hh"
 #include "obs/trace.hh"
 #include "threads/scheduler.hh"
+#include "threads/stat_fields.hh"
 
 namespace
 {
@@ -112,9 +117,6 @@ TEST(ObsRegistry, CountsAreExactUnderRunParallel)
     obs::setMetricsEnabled(true);
     Counter &hits = Registry::global().counter("test.parallel.hits");
     hits.reset();
-    Counter &executed =
-        Registry::global().counter("sched.threads.executed");
-    const std::uint64_t executed_before = executed.value();
 
     threads::SchedulerConfig cfg;
     cfg.dims = 1;
@@ -128,8 +130,13 @@ TEST(ObsRegistry, CountsAreExactUnderRunParallel)
     EXPECT_EQ(sched.runParallel(4, false), kThreads);
 
     EXPECT_EQ(hits.value(), kThreads);
-    if (obs::kTraceCompiled)
-        EXPECT_EQ(executed.value() - executed_before, kThreads);
+    // runParallel() publishes its scheduler's lifetime count as it
+    // returns.
+    if (obs::kTraceCompiled) {
+        EXPECT_EQ(
+            Registry::global().gauge("sched.executed_threads").value(),
+            kThreads);
+    }
     obs::setMetricsEnabled(false);
 }
 
@@ -159,6 +166,75 @@ TEST(ObsRegistry, SchedulerPublishesOccupancyGauges)
             8u);
     }
     sched.run(false);
+    obs::setMetricsEnabled(false);
+}
+
+TEST(ObsRegistry, EachSchedulerStatisticIsOneGaugeOfOneKind)
+{
+    namespace obs = lsched::obs;
+    namespace threads = lsched::threads;
+    if (!obs::kTraceCompiled)
+        GTEST_SKIP() << "metrics compiled out";
+
+    obs::setMetricsEnabled(true);
+    Counter &hits = Registry::global().counter("test.onekind.hits");
+    threads::SchedulerConfig cfg;
+    cfg.dims = 1;
+    cfg.blockBytes = 4096;
+    threads::LocalityScheduler sched(cfg);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        sched.fork(&bumpCounter, &hits, nullptr,
+                   static_cast<threads::Hint>(i * 512));
+    }
+    EXPECT_EQ(sched.run(false), 64u);
+    (void)sched.stats();
+
+    // An adaptive-placement tour, published last: its gauges win.
+    threads::SchedulerConfig adaptiveCfg = cfg;
+    adaptiveCfg.placement = threads::PlacementKind::Adaptive;
+    threads::LocalityScheduler adaptive(adaptiveCfg);
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        adaptive.fork(&bumpCounter, &hits, nullptr,
+                      static_cast<threads::Hint>(i * 4096));
+    }
+    EXPECT_EQ(adaptive.run(false), 40u);
+
+    const std::vector<Registry::Row> rows = Registry::global().rows();
+    std::map<std::string, std::string> kinds;
+    std::map<std::string, std::uint64_t> gauges;
+    for (const Registry::Row &row : rows) {
+        const auto [it, fresh] = kinds.emplace(row.name, row.kind);
+        EXPECT_TRUE(fresh) << row.name << " is both a " << it->second
+                           << " and a " << row.kind;
+        if (row.kind == "gauge")
+            gauges[row.name] = row.value;
+    }
+
+    lsched::obs::ProfileSnapshot snap;
+    snap.rows = rows;
+    std::istringstream om(lsched::obs::SnapshotEngine::toOpenMetrics(snap));
+    std::map<std::string, int> families;
+    for (std::string line; std::getline(om, line);) {
+        if (line.rfind("# TYPE ", 0) == 0)
+            ++families[line.substr(7, line.rfind(' ') - 7)];
+    }
+    EXPECT_FALSE(families.empty());
+    for (const auto &[family, types] : families)
+        EXPECT_EQ(types, 1) << family;
+
+    // The gauges run() published as it returned are the adaptive
+    // scheduler's stats(), row for row.
+    const threads::SchedulerStats st = adaptive.stats();
+    EXPECT_EQ(gauges["sched.executed_threads"], 40u);
+    EXPECT_EQ(gauges["sched.executed_threads"], st.executedThreads);
+    EXPECT_EQ(gauges["sched.adapt.observations"], st.adapt.observations);
+    EXPECT_EQ(gauges["sched.adapt.no_signal"], st.adapt.noSignal);
+    for (const threads::StatField &field : threads::statFields()) {
+        const auto it = gauges.find(field.name);
+        ASSERT_NE(it, gauges.end()) << field.name << " not published";
+        EXPECT_EQ(it->second, field.value(st, adaptive.config()))
+            << field.name;
+    }
     obs::setMetricsEnabled(false);
 }
 

@@ -1,8 +1,11 @@
 /**
  * @file
- * Drift check between README's config-key table (`| Key | Value |`)
- * and the code's descriptor table (configKeys()): the README must list
- * every key exactly once and nothing else.
+ * Drift checks between README's tables and the code's descriptor
+ * tables: the config-key table (`| Key | Value |`) against
+ * configKeys(), and the scheduler-metrics table
+ * (`| Metric | th_stats_t field | Meaning |`) against statFields().
+ * Each README table must list every name exactly once and nothing
+ * else.
  */
 
 #include <gtest/gtest.h>
@@ -10,26 +13,26 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "threads/config_keys.hh"
+#include "threads/stat_fields.hh"
 
 namespace
 {
 
-/**
- * Backticked names in the first cell of each row of the table headed
- * `| Key | Value |`, with their occurrence counts.
- */
-std::map<std::string, int>
-readmeKeys(const std::string &path)
+/** The cells of each row of the table whose header line starts with
+ *  @p header, trimmed of surrounding spaces. */
+std::vector<std::vector<std::string>>
+readmeTable(const std::string &path, const std::string &header)
 {
     std::ifstream in(path);
     EXPECT_TRUE(in) << "cannot open " << path;
-    std::map<std::string, int> keys;
+    std::vector<std::vector<std::string>> rows;
     std::string line;
     bool inTable = false;
     while (std::getline(in, line)) {
-        if (line.rfind("| Key | Value |", 0) == 0) {
+        if (line.rfind(header, 0) == 0) {
             inTable = true;
             continue;
         }
@@ -39,24 +42,42 @@ readmeKeys(const std::string &path)
             break; // the table ends at its first non-row line
         if (line.rfind("|---", 0) == 0)
             continue;
-        const std::size_t cellEnd = line.find('|', 1);
-        const std::string cell = line.substr(1, cellEnd - 1);
-        for (std::size_t open = cell.find('`');
-             open != std::string::npos;) {
-            const std::size_t close = cell.find('`', open + 1);
-            if (close == std::string::npos)
-                break;
-            ++keys[cell.substr(open + 1, close - open - 1)];
-            open = cell.find('`', close + 1);
+        std::vector<std::string> cells;
+        for (std::size_t open = 0, close;
+             (close = line.find('|', open + 1)) != std::string::npos;
+             open = close) {
+            std::string cell = line.substr(open + 1, close - open - 1);
+            cell.erase(0, cell.find_first_not_of(' '));
+            cell.erase(cell.find_last_not_of(' ') + 1);
+            cells.push_back(cell);
         }
+        rows.push_back(cells);
     }
-    EXPECT_TRUE(inTable) << "no `| Key | Value |` table in " << path;
-    return keys;
+    EXPECT_TRUE(inTable) << "no `" << header << "` table in " << path;
+    return rows;
+}
+
+/** The backticked names in @p cell. */
+std::vector<std::string>
+backticked(const std::string &cell)
+{
+    std::vector<std::string> names;
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+        const std::size_t close = cell.find('`', open + 1);
+        if (close == std::string::npos)
+            break;
+        names.push_back(cell.substr(open + 1, close - open - 1));
+        open = cell.find('`', close + 1);
+    }
+    return names;
 }
 
 TEST(ReadmeConfigKeys, TableListsEveryKeyExactlyOnce)
 {
-    std::map<std::string, int> documented = readmeKeys(LSCHED_README);
+    std::map<std::string, int> documented;
+    for (const auto &row : readmeTable(LSCHED_README, "| Key | Value |"))
+        for (const std::string &key : backticked(row.at(0)))
+            ++documented[key];
     for (const std::string &key : lsched::threads::configKeys()) {
         const auto it = documented.find(key);
         if (it == documented.end()) {
@@ -72,6 +93,42 @@ TEST(ReadmeConfigKeys, TableListsEveryKeyExactlyOnce)
     for (const auto &[key, count] : documented) {
         ADD_FAILURE() << "README key table lists '" << key
                       << "', which is not a config key";
+    }
+}
+
+TEST(ReadmeMetrics, TableListsEveryStatisticExactlyOnce)
+{
+    // name -> (times listed, whether a th_stats_t field is named)
+    std::map<std::string, std::pair<int, bool>> documented;
+    for (const auto &row : readmeTable(
+             LSCHED_README, "| Metric | `th_stats_t` field | Meaning |")) {
+        ASSERT_EQ(row.size(), 3u) << row.at(0);
+        for (const std::string &name : backticked(row[0])) {
+            auto &entry = documented[name];
+            ++entry.first;
+            entry.second = row[1] != "—";
+        }
+    }
+    for (const lsched::threads::StatField &field :
+         lsched::threads::statFields()) {
+        const auto it = documented.find(field.name);
+        if (it == documented.end()) {
+            ADD_FAILURE() << "README metrics table is missing '"
+                          << field.name << "'";
+            continue;
+        }
+        EXPECT_EQ(it->second.first, 1)
+            << "README metrics table lists '" << field.name << "' "
+            << it->second.first << " times";
+        EXPECT_EQ(it->second.second, field.fill != nullptr)
+            << "README metrics table: '" << field.name << "' "
+            << (field.fill ? "is" : "is not")
+            << " a th_stats_t field";
+        documented.erase(it);
+    }
+    for (const auto &[name, entry] : documented) {
+        ADD_FAILURE() << "README metrics table lists '" << name
+                      << "', which is not a scheduler statistic";
     }
 }
 
