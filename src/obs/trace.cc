@@ -14,35 +14,18 @@ namespace detail
 {
 std::atomic<bool> g_traceOn{false};
 std::atomic<bool> g_metricsOn{false};
-std::atomic<bool> g_anyOn{false};
 } // namespace detail
-
-namespace
-{
-
-void
-refreshAnyOn()
-{
-    detail::g_anyOn.store(
-        detail::g_traceOn.load(std::memory_order_relaxed) ||
-            detail::g_metricsOn.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-}
-
-} // namespace
 
 void
 setTraceEnabled(bool on)
 {
     detail::g_traceOn.store(on, std::memory_order_relaxed);
-    refreshAnyOn();
 }
 
 void
 setMetricsEnabled(bool on)
 {
     detail::g_metricsOn.store(on, std::memory_order_relaxed);
-    refreshAnyOn();
 }
 
 TraceSession &
@@ -136,9 +119,12 @@ TraceSession::clear()
 
 // ---------------------------------------------------------------------
 // --trace/--metrics CLI plumbing. The hook is installed by a static
-// initializer in this translation unit, which is linked into every
-// binary that uses the schedulers, so any bench or example gets the
-// flags without code changes; the files are written at process exit.
+// initializer in this translation unit, so any bench or example gets
+// the flags without code changes; the files are written at process
+// exit. With instrumentation compiled out nothing else may reference
+// this file, so the initializer's flag is an extern "C" symbol that
+// lsched_obs's link options mark undefined in every binary linking
+// it (src/obs/CMakeLists.txt): the linker always keeps this object.
 // ---------------------------------------------------------------------
 
 namespace
@@ -194,9 +180,9 @@ applyCliObs(const std::string &trace_path,
     }
 }
 
-[[maybe_unused]] const bool g_cliHookInstalled =
-    (lsched::setCliObsHook(&applyCliObs), true);
-
 } // namespace
 
 } // namespace lsched::obs
+
+extern "C" const bool lsched_obs_cli_hook_installed =
+    (lsched::setCliObsHook(&lsched::obs::applyCliObs), true);

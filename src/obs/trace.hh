@@ -47,7 +47,6 @@ namespace detail
 {
 extern std::atomic<bool> g_traceOn;
 extern std::atomic<bool> g_metricsOn;
-extern std::atomic<bool> g_anyOn;
 } // namespace detail
 
 /** Is event tracing live right now? Hot-path check. */
@@ -67,21 +66,6 @@ metricsOn()
 {
 #if LSCHED_TRACE_ENABLED
     return detail::g_metricsOn.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-}
-
-/**
- * Is either tracing or metrics live? One load — the cheapest guard
- * for hot paths with several instrumentation sites (hoist this, then
- * check traceOn()/metricsOn() individually inside).
- */
-inline bool
-anyOn()
-{
-#if LSCHED_TRACE_ENABLED
-    return detail::g_anyOn.load(std::memory_order_relaxed);
 #else
     return false;
 #endif

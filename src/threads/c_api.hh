@@ -257,11 +257,13 @@ int th_config_key(int index, char *buf, std::size_t len);
  * README "Scheduler metrics" table), each th_stats_t field among them,
  * is read by name from the default scheduler's stats()
  * ("sched.executed_threads", "sched.stream.backlog", ...), metrics
- * collection on or off. Merged in are the obs registry's instruments
- * that are live when metrics collection is on: the few events only
- * the registry counts ("sched.threads.forked", "sched.runs", ...),
- * histograms as name.count / name.sum, and the cache simulator's
- * gauges.
+ * collection on or off; the fork, run and bin-creation totals
+ * ("sched.forked_threads", "sched.runs", "sched.bins.created") are
+ * rows too. Merged in are the obs registry's instruments that are
+ * live when metrics collection is on: the scheduler's per-bin and
+ * per-tour histograms as name.count / name.sum ("sched.bin.threads",
+ * "sched.bin.dwell_ns", "sched.tour.hop_distance") and the cache
+ * simulator's gauges.
  *
  * Number of metrics currently visible. Enumerate with
  * th_metric_name(); read with th_metric_get(). The count (and the

@@ -456,6 +456,14 @@ class ConcurrentBinTable
         return seg ? &seg[index % kSegmentBins] : nullptr;
     }
 
+    /** Bins created so far (published into a slot; spares and
+     *  carved-but-unused bins excluded). */
+    std::size_t
+    createdCount() const
+    {
+        return published_.load(std::memory_order_relaxed);
+    }
+
     /** Number of slots in the live probe array. */
     std::size_t
     bucketCount() const

@@ -74,17 +74,6 @@ poolCancelled(Bin *bin, void *ctxRaw)
         detail::noteCancelledBin(*fault, bin->id, 0, bin->threadCount);
 }
 
-/** Per-backend tour counters (sched.backend.<name>.tours). */
-obs::Counter &
-backendToursCounter(BackendKind kind)
-{
-    static obs::Counter *const counters[] = {
-        &obs::Registry::global().counter("sched.backend.serial.tours"),
-        &obs::Registry::global().counter("sched.backend.pooled.tours"),
-    };
-    return *counters[static_cast<std::size_t>(kind)];
-}
-
 std::vector<std::pair<std::string, std::string>> g_schedOverrides;
 
 /**
@@ -228,8 +217,6 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
     if (workers <= 1 || config_.backend == BackendKind::Serial) {
         // One worker — or the serial backend, whose tour is exactly
         // run()'s ordered walk (no helpers, so no watchdog either).
-        if (obs::metricsOn() && config_.backend == BackendKind::Serial)
-            backendToursCounter(BackendKind::Serial).add();
         return run(keep);
     }
 
@@ -294,9 +281,8 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
     LSCHED_TRACE_EVENT(obs::EventType::RunBegin, pendingThreads_,
                        table_.binCount(), workers);
     obs::profileNoteEpoch();
+    ++runs_;
     if (obs::metricsOn()) {
-        detail::schedInstruments().runs->add();
-        backendToursCounter(config_.backend).add();
         // Hops of the nominal tour; interleaving across workers is
         // visible in the trace, not the histogram.
         detail::recordTourHops(tour, config_.dims);
@@ -358,7 +344,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         }
         readyHead_ = nullptr;
         readyTail_ = nullptr;
-        pendingThreads_ = 0;
+        retirePending();
     }
 
     executedThreads_ += executed;

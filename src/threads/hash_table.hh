@@ -90,16 +90,13 @@ class BinTable
      * Find the bin with coordinates @p coords, creating it on first
      * use (the scheduler "does not allocate a bin ... until it
      * schedules the first thread in it", Section 3.2). Returns the bin
-     * and whether it was newly created. When @p probes is non-null it
-     * receives the number of slots inspected — the collision statistic
-     * the metrics registry histograms.
+     * and whether it was newly created.
      */
     std::pair<Bin *, bool>
-    findOrCreate(const BlockCoords &coords,
-                 std::uint32_t *probes = nullptr)
+    findOrCreate(const BlockCoords &coords)
     {
         return findOrCreateHashed(coords.data(), hash(coords),
-                                  kNoSuperBin, probes);
+                                  kNoSuperBin);
     }
 
     /**
@@ -111,21 +108,14 @@ class BinTable
      */
     std::pair<Bin *, bool>
     findOrCreateHashed(const std::uint64_t *coords, std::uint64_t h,
-                       std::uint32_t superBin,
-                       std::uint32_t *probes = nullptr)
+                       std::uint32_t superBin)
     {
         std::size_t i = h & mask_;
-        std::uint32_t walked = 1;
-        for (; slots_[i]; i = (i + 1) & mask_, ++walked) {
+        for (; slots_[i]; i = (i + 1) & mask_) {
             Bin *b = slots_[i];
-            if (b->hashVal == h && sameCoords(b->coords, coords)) {
-                if (probes)
-                    *probes = walked;
+            if (b->hashVal == h && sameCoords(b->coords, coords))
                 return {b, false};
-            }
         }
-        if (probes)
-            *probes = walked;
         return {create(i, coords, h, superBin), true};
     }
 

@@ -1,20 +1,20 @@
 /**
  * @file
  * Internal observability glue for the locality scheduler: the cached
- * registry instruments shared by scheduler.cc, the execution backends
+ * registry histograms shared by scheduler.cc, the execution backends
  * and the stream, plus the tour-hop helpers. The instrumented
  * bin-execution loop itself lives in bin_exec.hh.
  *
- * The registry counts only what no scheduler statistic carries
- * (forks, runs, bins created, four distributions). Every count the
- * scheduler already keeps lives in SchedulerStats alone and reaches
- * the registry as a gauge through stat_fields.hh, never as a second
- * counter here.
+ * The registry holds only the three distributions no scheduler
+ * statistic can carry (threads per bin, bin dwell time, tour hop
+ * distance), each recorded once per bin or per tour, never per fork.
+ * Every count lives in SchedulerStats alone and reaches the registry
+ * as a gauge through stat_fields.hh.
  *
- * Everything here is gated on obs::traceOn() / obs::metricsOn(); with
- * the LSCHED_TRACE_ENABLED build option off those fold to constant
- * false and the instrumented branches compile away, leaving the
- * original tight loops.
+ * Everything here is gated on obs::metricsOn(); with the
+ * LSCHED_TRACE_ENABLED build option off that folds to constant false
+ * and the instrumented branches compile away, leaving the original
+ * tight loops.
  */
 
 #ifndef LSCHED_THREADS_SCHED_OBS_HH
@@ -30,13 +30,9 @@
 namespace lsched::threads::detail
 {
 
-/** The scheduler's registry-only instruments, resolved once. */
+/** The scheduler's registry histograms, resolved once. */
 struct SchedInstruments
 {
-    obs::Counter *forked;
-    obs::Counter *runs;
-    obs::Counter *binsCreated;
-    obs::Histogram *hashProbes;
     obs::Histogram *threadsPerBin;
     obs::Histogram *binDwellNs;
     obs::Histogram *tourHop;

@@ -24,10 +24,6 @@ schedInstruments()
     static const SchedInstruments ins = [] {
         obs::Registry &r = obs::Registry::global();
         return SchedInstruments{
-            &r.counter("sched.threads.forked"),
-            &r.counter("sched.runs"),
-            &r.counter("sched.bins.created"),
-            &r.histogram("sched.hash.probes"),
             &r.histogram("sched.bin.threads"),
             &r.histogram("sched.bin.dwell_ns"),
             &r.histogram("sched.tour.hop_distance"),
@@ -99,23 +95,6 @@ noteCancelledBin(FaultCtx &ctx, std::uint32_t binId, unsigned worker,
 
 namespace
 {
-
-/** Per-placement fork counters (sched.placement.<name>.forked). */
-obs::Counter &
-placementForkedCounter(PlacementKind kind)
-{
-    static obs::Counter *const counters[] = {
-        &obs::Registry::global().counter(
-            "sched.placement.blockhash.forked"),
-        &obs::Registry::global().counter(
-            "sched.placement.roundrobin.forked"),
-        &obs::Registry::global().counter(
-            "sched.placement.hierarchical.forked"),
-        &obs::Registry::global().counter(
-            "sched.placement.adaptive.forked"),
-    };
-    return *counters[static_cast<std::size_t>(kind)];
-}
 
 /** The placement instance a validated configuration selects. */
 std::unique_ptr<PlacementPolicy>
@@ -304,6 +283,7 @@ LocalityScheduler::configure(const SchedulerConfig &config)
     lastTourDomainWorkers_ = 0;
     placement_ = placementFor(config_);
     refreshHotPlacement();
+    retiredBins_ += table_.binCount();
     table_ = BinTable(config_.dims, config_.hashBuckets);
     pool_ = GroupPool(config_.groupCapacity);
     readyHead_ = nullptr;
@@ -414,20 +394,10 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
     }
 
     const PlacementDecision where = placeHot_->place(hints);
-    std::uint32_t probes = 0;
     const auto [bin, created] = table_.findOrCreateHashed(
         where.coords.data(), hashCoords(where.coords.data(), config_.dims),
-        where.superBin, &probes);
-    if (obs::anyOn()) [[unlikely]] {
-        if (obs::metricsOn()) {
-            const detail::SchedInstruments &ins =
-                detail::schedInstruments();
-            ins.forked->add();
-            placementForkedCounter(config_.placement).add();
-            ins.hashProbes->record(probes);
-            if (created)
-                ins.binsCreated->add();
-        }
+        where.superBin);
+    if (obs::traceOn()) [[unlikely]] {
         if (created) {
             LSCHED_TRACE_EVENT(obs::EventType::BinCreate, bin->id,
                                where.coords[0], where.coords[1]);
@@ -471,8 +441,7 @@ LocalityScheduler::run(bool keep)
     LSCHED_TRACE_EVENT(obs::EventType::RunBegin, pendingThreads_,
                        table_.binCount(), 1);
     obs::profileNoteEpoch();
-    if (obs::metricsOn())
-        detail::schedInstruments().runs->add();
+    ++runs_;
 
     // Deadline monitor for the serial tour (runParallel arms its own,
     // with the watchdog on top). The monitor's dtor joins before the
@@ -531,7 +500,7 @@ LocalityScheduler::run(bool keep)
             LSCHED_ASSERT(pendingThreads_ <=
                               executed + ctx.totalFaults,
                           "pending threads outlived the streaming run");
-            pendingThreads_ = 0;
+            retirePending();
         }
     } else {
         // keep: the ready list survives, so walk a snapshot of it —
@@ -610,8 +579,7 @@ LocalityScheduler::streamBegin(unsigned workers)
     refreshHotPlacement();
     LSCHED_TRACE_EVENT(obs::EventType::RunBegin, 0, 0, helpers);
     obs::profileNoteEpoch();
-    if (obs::metricsOn())
-        detail::schedInstruments().runs->add();
+    ++runs_;
     stream_ = std::make_unique<StreamSession>(config_, *placement_,
                                               pool, helpers, &recovery_,
                                               &governor_);
@@ -638,6 +606,8 @@ LocalityScheduler::streamEnd()
     lastFaultsTotal_ = stream_->faultCount();
     faultedThreads_ += lastFaultsTotal_;
     lastStreamBins_ = stream_->binReports();
+    retiredForks_ += s.forked;
+    retiredBins_ += stream_->binsCreated();
     const std::exception_ptr first = stream_->firstFault();
     const CancelReason streamCancel = stream_->cancelReason();
     stream_.reset();
@@ -723,7 +693,7 @@ LocalityScheduler::abandonRun(Bin *inFlight) noexcept
     }
     readyHead_ = nullptr;
     readyTail_ = nullptr;
-    pendingThreads_ = 0;
+    retirePending();
     running_ = false;
     nestedForkOk_ = false;
 }
@@ -743,7 +713,7 @@ LocalityScheduler::clear()
     }
     readyHead_ = nullptr;
     readyTail_ = nullptr;
-    pendingThreads_ = 0;
+    retirePending();
 }
 
 std::vector<Bin *>
@@ -770,6 +740,7 @@ LocalityScheduler::stats() const
     SchedulerStats s;
     s.pendingThreads = pendingThreads_;
     s.executedThreads = executedThreads_;
+    s.runs = runs_;
     s.faultedThreads = faultedThreads_;
     s.lastFaultCount = lastFaultsTotal_;
     s.bins = table_.binCount();
@@ -784,6 +755,10 @@ LocalityScheduler::stats() const
     s.tourLength = tourLength(bins, config_.dims);
     s.pool = workerPoolStats();
     s.stream = streamStats();
+    s.forkedThreads = retiredForks_ + pendingThreads_ +
+                      (stream_ ? s.stream.forked : 0);
+    s.binsCreated = retiredBins_ + table_.binCount() +
+                    (stream_ ? stream_->binsCreated() : 0);
     s.recover = recoverySnapshot();
     s.adapt = placement_->adaptSnapshot();
     s.topology.active = topo_ != nullptr;

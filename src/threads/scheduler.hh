@@ -274,6 +274,13 @@ struct SchedulerStats
     std::uint64_t pendingThreads = 0;
     /** Threads executed over the scheduler's lifetime. */
     std::uint64_t executedThreads = 0;
+    /** Threads forked over the scheduler's lifetime, batch and
+     *  stream; a kept thread re-run counts once. */
+    std::uint64_t forkedThreads = 0;
+    /** Tours started: run(), pooled runParallel(), streamBegin(). */
+    std::uint64_t runs = 0;
+    /** Bins created over the lifetime, by batch and stream tables. */
+    std::uint64_t binsCreated = 0;
     /** User threads whose exception was contained (lifetime). */
     std::uint64_t faultedThreads = 0;
     /** Faults contained by the most recent run or stream (the
@@ -338,7 +345,7 @@ class LocalityScheduler
      * silently ignored.
      *
      * The batch fast path is inline: one predictable test sends every
-     * rare case — a stream or running tour, observability on, a
+     * rare case — a stream or running tour, tracing on, a
      * placement other than power-of-two block hash (dims <= 3), a
      * non-zero surplus hint, a null function, a parallel worker — to
      * the checked fork() below. Otherwise the block coordinates come
@@ -350,7 +357,7 @@ class LocalityScheduler
          Hint hint2 = 0, Hint hint3 = 0)
     {
         const bool checked =
-            running_ | !forkFast_ | obs::anyOn() |
+            running_ | !forkFast_ | obs::traceOn() |
             detail::t_inParallelWorker | (fn == nullptr) |
             (((hint2 & surplusHint2_) | (hint3 & surplusHint3_)) != 0);
         if (checked) [[unlikely]] {
@@ -371,8 +378,9 @@ class LocalityScheduler
     /**
      * Fork with an arbitrary hint vector (k-dimensional case). This is
      * also the checked case of the three-hint fork: diagnostics,
-     * streaming admission, PlacementPolicy::place() and the
-     * observability hooks, around the same find-bin + append body.
+     * streaming admission, PlacementPolicy::place() and the trace
+     * events, around the same find-bin + append body. No metric is
+     * touched per fork: stats() derives the fork and bin totals.
      */
     void fork(ThreadFn fn, void *arg1, void *arg2,
               std::span<const Hint> hints);
@@ -463,17 +471,18 @@ class LocalityScheduler
     std::uint64_t binCount() const { return table_.binCount(); }
 
     /**
-     * Snapshot of the scheduler's statistics. With obs::metricsOn()
-     * every snapshot is also published as registry gauges, one per
-     * row of threads/stat_fields.hh.
+     * Snapshot of the scheduler's statistics. With metrics
+     * collection on, every snapshot is also published as obs gauges,
+     * one per row of threads/stat_fields.hh.
      */
     SchedulerStats stats() const;
 
     /**
-     * Publish a stats() snapshot to the registry; a no-op unless
-     * obs::metricsOn(). run(), runParallel() and streamEnd() call it
-     * as they return, so a --metrics dump carries the final values
-     * whether or not the program ever calls stats().
+     * Publish a stats() snapshot as obs gauges; a no-op while
+     * metrics collection is off. run(), runParallel() and
+     * streamEnd() call it as they return, so a --metrics dump
+     * carries the final values whether or not the program ever
+     * calls stats().
      */
     void publishMetrics() const;
 
@@ -591,6 +600,15 @@ class LocalityScheduler
      *  point the cursor at it; publishes the old tail's count. */
     void openTailGroup(Bin *bin);
 
+    /** Zero the pending count, folding it into the forked total
+     *  (every site that drops or finishes the pending threads). */
+    void
+    retirePending()
+    {
+        retiredForks_ += pendingThreads_;
+        pendingThreads_ = 0;
+    }
+
     /** Publish every ready bin's cursor (run()/runParallel() entry). */
     void publishReadyTails();
 
@@ -650,6 +668,14 @@ class LocalityScheduler
     Bin *readyTail_ = nullptr;
 
     std::uint64_t pendingThreads_ = 0;
+    /** Threads forked before the last retirePending() and by
+     *  finished streams; the forked total adds pendingThreads_ and
+     *  the open stream's admissions. */
+    std::uint64_t retiredForks_ = 0;
+    /** Bins of replaced batch tables and finished streams. */
+    std::uint64_t retiredBins_ = 0;
+    /** run(), pooled runParallel() and streamBegin() calls. */
+    std::uint64_t runs_ = 0;
     std::uint64_t executedThreads_ = 0;
     std::uint64_t faultedThreads_ = 0;
     std::vector<ThreadFault> lastFaults_;

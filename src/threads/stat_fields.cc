@@ -150,6 +150,11 @@ const StatField kFields[] = {
         [](auto &s, auto &) { return s.pool.crossSteals; }),
 
     // Rows past the frozen th_stats_t.
+    named("sched.forked_threads",
+        [](auto &s, auto &) { return s.forkedThreads; }),
+    named("sched.runs", [](auto &s, auto &) { return s.runs; }),
+    named("sched.bins.created",
+        [](auto &s, auto &) { return s.binsCreated; }),
     named("sched.pool.tours", [](auto &s, auto &) { return s.pool.tours; }),
     named("sched.stream.drain_parks",
         [](auto &s, auto &) { return s.stream.drainParks; }),

@@ -18,7 +18,6 @@
 #include "support/prng.hh"
 #include "threads/bin_exec.hh"
 #include "threads/hash_table.hh"
-#include "threads/sched_obs.hh"
 #include "threads/scheduler.hh"
 
 namespace lsched::threads
@@ -568,14 +567,7 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
     self.admitted.store(self.admitted.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
 
-    if (obs::anyOn()) [[unlikely]] {
-        if (obs::metricsOn()) {
-            const detail::SchedInstruments &ins =
-                detail::schedInstruments();
-            ins.forked->add();
-            if (created)
-                ins.binsCreated->add();
-        }
+    if (obs::traceOn()) [[unlikely]] {
         if (created) {
             LSCHED_TRACE_EVENT(obs::EventType::BinCreate, binId,
                                where.coords[0], where.coords[1]);
@@ -851,6 +843,15 @@ StreamSession::stats() const
     s.peakBacklog = peak_.load(std::memory_order_relaxed);
     s.drainParks = queue_.parks();
     return s;
+}
+
+std::uint64_t
+StreamSession::binsCreated() const
+{
+    std::uint64_t created = 0;
+    for (const auto &shard : shards_)
+        created += shard->table.createdCount();
+    return created;
 }
 
 } // namespace lsched::threads

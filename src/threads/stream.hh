@@ -426,6 +426,9 @@ class StreamSession
     /** Live (or final) counters. */
     StreamStats stats() const;
 
+    /** Bins the session's shard tables created so far. */
+    std::uint64_t binsCreated() const;
+
     /** Per-bin totals; valid after finish(). */
     const std::vector<StreamBinReport> &binReports() const
     {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -577,6 +579,114 @@ TEST_F(CApiTest, StreamSessionThroughTheCBoundary)
     EXPECT_EQ(after.stream_backlog, 0u);
     EXPECT_EQ(after.executed_threads - before.executed_threads, 300u);
     ASSERT_EQ(th_configure("stream_seal_threshold", "0"), 0);
+}
+
+/** A metric through the named surface; fails the test when absent. */
+unsigned long long
+metric(const char *name)
+{
+    unsigned long long value = 0;
+    EXPECT_EQ(th_metric_get(name, &value), 0) << name;
+    return value;
+}
+
+/** Block-aligned hint far enough apart that each index is its own
+ *  bin under any block size. */
+void *
+binHint(std::uintptr_t index)
+{
+    return reinterpret_cast<void *>(index << 32);
+}
+
+std::atomic<std::uintptr_t> g_nestedNext{0};
+
+/** Forks one thread into a bin of its own (nested, under th_run(0)). */
+void
+forkIntoFreshBin(void *, void *)
+{
+    th_fork(&bumpStream, nullptr, nullptr,
+            binHint(g_nestedNext.fetch_add(1)), nullptr, nullptr);
+}
+
+TEST_F(CApiTest, ForkRunAndBinTotalsAreExactWithMetricsOff)
+{
+    // The three totals are scheduler statistics, not registry
+    // counters: th_metric_get reads them with metrics collection off.
+    lsched::obs::setMetricsEnabled(false);
+    const unsigned long long forked0 = metric("sched.forked_threads");
+    const unsigned long long runs0 = metric("sched.runs");
+    const unsigned long long bins0 = metric("sched.bins.created");
+    const auto forked = [&] {
+        return metric("sched.forked_threads") - forked0;
+    };
+    const auto runs = [&] { return metric("sched.runs") - runs0; };
+    const auto bins = [&] { return metric("sched.bins.created") - bins0; };
+
+    // Batch forks count while pending; kept re-runs add none.
+    for (std::uintptr_t i = 0; i < 60; ++i)
+        th_fork(&bumpStream, nullptr, nullptr, binHint(i % 6), nullptr,
+                nullptr);
+    EXPECT_EQ(forked(), 60u);
+    EXPECT_EQ(bins(), 6u);
+    EXPECT_EQ(runs(), 0u);
+    th_run(1);
+    th_run(1);
+    th_run(0);
+    EXPECT_EQ(forked(), 60u);
+    EXPECT_EQ(runs(), 3u);
+    EXPECT_EQ(bins(), 6u);
+
+    // Nested forks under th_run(0): four parents into one new bin,
+    // each forking a child into a new bin of its own.
+    g_nestedNext.store(100);
+    for (int i = 0; i < 4; ++i)
+        th_fork(&forkIntoFreshBin, nullptr, nullptr, binHint(6), nullptr,
+                nullptr);
+    th_run(0);
+    EXPECT_EQ(forked(), 68u);
+    EXPECT_EQ(runs(), 4u);
+    EXPECT_EQ(bins(), 11u);
+
+    // Serial runParallel is run(); a reconfiguration replaces the bin
+    // table, so the same hints create their bins again.
+    ASSERT_EQ(th_configure("backend", "serial"), 0);
+    for (std::uintptr_t i = 0; i < 10; ++i)
+        th_fork(&bumpStream, nullptr, nullptr, binHint(i % 2), nullptr,
+                nullptr);
+    th_run_parallel(2, 0);
+    EXPECT_EQ(forked(), 78u);
+    EXPECT_EQ(runs(), 5u);
+    EXPECT_EQ(bins(), 13u);
+
+    ASSERT_EQ(th_configure("backend", "pooled"), 0);
+    for (std::uintptr_t i = 0; i < 10; ++i)
+        th_fork(&bumpStream, nullptr, nullptr, binHint(i % 2), nullptr,
+                nullptr);
+    th_run_parallel(2, 0);
+    EXPECT_EQ(forked(), 88u);
+    EXPECT_EQ(runs(), 6u);
+    EXPECT_EQ(bins(), 15u);
+
+    // A stream counts one run, its admitted threads, and the bins its
+    // own tables created.
+    ASSERT_EQ(th_stream_begin(1), 0);
+    for (std::uintptr_t i = 0; i < 30; ++i)
+        th_fork(&bumpStream, nullptr, nullptr, binHint(i % 3), nullptr,
+                nullptr);
+    EXPECT_EQ(forked(), 118u);
+    EXPECT_EQ(th_stream_end(), 30ll);
+    EXPECT_EQ(forked(), 118u);
+    EXPECT_EQ(runs(), 7u);
+    EXPECT_EQ(bins(), 18u);
+
+    // The rows lie past the frozen struct: th_stats_ still writes 41.
+    long long values[48];
+    std::fill(std::begin(values), std::end(values), -7);
+    const int count = 48;
+    th_stats_(values, &count);
+    EXPECT_NE(values[40], -7);
+    for (int i = 41; i < 48; ++i)
+        EXPECT_EQ(values[i], -7) << "slot " << i;
 }
 
 TEST_F(CApiTest, SetDeadlineIsAConfigureShim)

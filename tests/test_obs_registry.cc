@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the metrics registry: instrument semantics, export
- * renderings, correctness under concurrent runParallel updates, and
- * the scheduler publishing each statistic once, as one gauge.
+ * renderings, correctness under concurrent runParallel updates, the
+ * scheduler publishing each statistic once, as one gauge, and fork
+ * never touching the registry.
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "obs/snapshot.hh"
 #include "obs/trace.hh"
+#include "threads/placement.hh"
 #include "threads/scheduler.hh"
 #include "threads/stat_fields.hh"
 
@@ -237,5 +241,83 @@ TEST(ObsRegistry, EachSchedulerStatisticIsOneGaugeOfOneKind)
     }
     obs::setMetricsEnabled(false);
 }
+
+void
+noop(void *, void *)
+{
+}
+
+/** Every registry row's identity and values, for equality checks. */
+std::vector<std::tuple<std::string, std::string, std::uint64_t,
+                       std::uint64_t>>
+registryState()
+{
+    std::vector<std::tuple<std::string, std::string, std::uint64_t,
+                           std::uint64_t>>
+        state;
+    for (const Registry::Row &row : Registry::global().rows())
+        state.emplace_back(row.name, row.kind, row.value, row.sum);
+    return state;
+}
+
+class ForkLeavesRegistry
+    : public ::testing::TestWithParam<lsched::threads::PlacementKind>
+{
+};
+
+TEST_P(ForkLeavesRegistry, BatchAndStreamForksTouchNoInstrument)
+{
+    namespace obs = lsched::obs;
+    namespace threads = lsched::threads;
+
+    obs::setMetricsEnabled(true);
+    threads::SchedulerConfig cfg;
+    cfg.dims = 2;
+    cfg.placement = GetParam();
+    // Serial: no drain helpers, so nothing executes (and records a
+    // per-bin histogram) until the stream closes.
+    cfg.backend = threads::BackendKind::Serial;
+    threads::LocalityScheduler sched(cfg);
+    constexpr std::uint64_t kThreads = 1000;
+
+    const auto before = registryState();
+    for (std::uint64_t i = 0; i < kThreads; ++i) {
+        sched.fork(&noop, nullptr, nullptr,
+                   static_cast<threads::Hint>(i * 4096),
+                   static_cast<threads::Hint>((i % 7) * 65536));
+    }
+    EXPECT_EQ(registryState(), before) << "batch fork";
+    EXPECT_EQ(sched.run(false), kThreads);
+
+    sched.streamBegin(0);
+    const auto streamBefore = registryState();
+    for (std::uint64_t i = 0; i < kThreads; ++i) {
+        const threads::Hint hints[2] = {
+            static_cast<threads::Hint>(i * 4096),
+            static_cast<threads::Hint>((i % 7) * 65536)};
+        sched.fork(&noop, nullptr, nullptr, hints);
+    }
+    EXPECT_EQ(registryState(), streamBefore) << "stream fork";
+    EXPECT_EQ(sched.streamEnd(), kThreads);
+
+    // Count-once: every scheduler count reaches the registry as a
+    // gauge derived from stats(), never as a mirror counter.
+    for (const Registry::Row &row : Registry::global().rows()) {
+        if (row.name.rfind("sched.", 0) == 0) {
+            EXPECT_NE(row.kind, "counter") << row.name;
+        }
+    }
+    obs::setMetricsEnabled(false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, ForkLeavesRegistry,
+    ::testing::Values(lsched::threads::PlacementKind::BlockHash,
+                      lsched::threads::PlacementKind::RoundRobin,
+                      lsched::threads::PlacementKind::Hierarchical,
+                      lsched::threads::PlacementKind::Adaptive),
+    [](const auto &info) {
+        return std::string(lsched::threads::placementName(info.param));
+    });
 
 } // namespace

@@ -1,17 +1,19 @@
 /**
  * @file
- * Drift checks between README's tables and the code's descriptor
- * tables: the config-key table (`| Key | Value |`) against
- * configKeys(), and the scheduler-metrics table
- * (`| Metric | th_stats_t field | Meaning |`) against statFields().
- * Each README table must list every name exactly once and nothing
- * else.
+ * Drift checks between the docs and the code: README's config-key
+ * table (`| Key | Value |`) against configKeys(), its
+ * scheduler-metrics table (`| Metric | th_stats_t field | Meaning |`)
+ * against statFields(), and DESIGN.md's §5 module map against the
+ * files under src/. Each must list every name exactly once and
+ * nothing else.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -129,6 +131,90 @@ TEST(ReadmeMetrics, TableListsEveryStatisticExactlyOnce)
     for (const auto &[name, entry] : documented) {
         ADD_FAILURE() << "README metrics table lists '" << name
                       << "', which is not a scheduler statistic";
+    }
+}
+
+/**
+ * The files DESIGN.md's §5 module map lists under `src/`, as
+ * "module/file" with `name.{hh,cc}` expanded, each with the number of
+ * times it is listed.
+ */
+std::map<std::string, int>
+designModuleMap(const std::string &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << "cannot open " << path;
+    std::map<std::string, int> listed;
+    bool inSection = false;
+    bool inSrc = false;
+    std::string module;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("## ", 0) == 0) {
+            inSection = line.rfind("## 5. Module map", 0) == 0;
+            continue;
+        }
+        if (!inSection)
+            continue;
+        if (line == "src/") {
+            inSrc = true;
+            continue;
+        }
+        if (!inSrc)
+            continue;
+        if (line.empty() || line[0] != ' ')
+            break; // the src/ tree ends at the next top-level entry
+        std::istringstream words(line);
+        for (std::string word; words >> word;) {
+            if (word.back() == '/') {
+                module = word;
+                continue;
+            }
+            const std::size_t brace = word.find(".{");
+            if (brace == std::string::npos) {
+                ++listed[module + word];
+                continue;
+            }
+            std::istringstream exts(
+                word.substr(brace + 2, word.size() - brace - 3));
+            for (std::string ext; std::getline(exts, ext, ',');)
+                ++listed[module + word.substr(0, brace + 1) + ext];
+        }
+    }
+    EXPECT_TRUE(inSrc) << "no src/ tree under §5 of " << path;
+    return listed;
+}
+
+TEST(DesignModuleMap, ListsEverySourceFileExactlyOnce)
+{
+    namespace fs = std::filesystem;
+    std::map<std::string, int> listed = designModuleMap(LSCHED_DESIGN);
+    for (const fs::directory_entry &dir :
+         fs::directory_iterator(LSCHED_SRC_DIR)) {
+        if (!dir.is_directory())
+            continue;
+        for (const fs::directory_entry &file :
+             fs::directory_iterator(dir.path())) {
+            const std::string ext = file.path().extension().string();
+            if (ext != ".hh" && ext != ".cc")
+                continue;
+            const std::string name = dir.path().filename().string() +
+                                     "/" +
+                                     file.path().filename().string();
+            const auto it = listed.find(name);
+            if (it == listed.end()) {
+                ADD_FAILURE() << "DESIGN.md module map is missing src/"
+                              << name;
+                continue;
+            }
+            EXPECT_EQ(it->second, 1)
+                << "DESIGN.md module map lists src/" << name << " "
+                << it->second << " times";
+            listed.erase(it);
+        }
+    }
+    for (const auto &[name, count] : listed) {
+        ADD_FAILURE() << "DESIGN.md module map lists src/" << name
+                      << ", which does not exist";
     }
 }
 
