@@ -1,15 +1,16 @@
 /**
  * @file
- * Admission-scaling ablation for the lock-free streaming intake: the
- * same total fork count pushed through a streaming session by 1, 2, 4,
- * ... concurrent producers, with deliberately tiny thread bodies so
- * wall time is dominated by the admission path itself (bin lookup /
- * CAS insert, group claim, ticket gate) rather than by user work.
+ * Admission-scaling ablation for the streaming intake: the same total
+ * fork count pushed through a streaming session by 1, 2, 4, ...
+ * concurrent producers, with deliberately tiny thread bodies so wall
+ * time is dominated by the admission path itself (the producer's own
+ * bin table and group append, cross-producer seals, the ticket gate)
+ * rather than by user work.
  *
  * Under the old lock-striped intake every producer serialized on its
- * shard mutex, so producer scaling flattened immediately; the
- * lock-free path's target is the producer sweep staying near linear
- * (efficiency >= 0.70). The target applies to every point whose
+ * shard mutex, so producer scaling flattened immediately; with one
+ * table per producer the target is the producer sweep staying near
+ * linear (efficiency >= 0.70). The target applies to every point whose
  * producers plus drain workers fit on the host's CPUs; points past
  * that ceiling time-slice, and the report says so instead of
  * checking them.
@@ -116,7 +117,7 @@ main(int argc, char **argv)
 
     Cli cli("ablation_stream_scale",
             "streaming admission throughput vs concurrent producer "
-            "count (lock-free intake scaling)");
+            "count (producer-table intake scaling)");
     cli.addInt("threads", 1 << 16, "total threads per sweep point");
     cli.addInt("bins", 512, "distinct bins the hints spread over");
     cli.addInt("max-producers", 4,

@@ -98,7 +98,7 @@ enum class EventType : std::uint8_t
     RecoveryStep,
     /**
      * The governor shed streaming load by force-sealing every open
-     * shard: (bins sealed, pending threads, configured bound).
+     * bin: (bins sealed, pending threads, configured bound).
      */
     LoadShed,
     /**

@@ -644,9 +644,12 @@ applyCliProfile(const std::string &value)
     }
 }
 
-[[maybe_unused]] const bool g_cliProfileHookInstalled =
-    (lsched::setCliProfileHook(&applyCliProfile), true);
-
 } // namespace
 
 } // namespace lsched::obs
+
+// Exported so a link option on lsched_obs can name it: binaries that
+// never reference this file would otherwise drop it, and with it the
+// static initializer that installs the --profile CLI hook.
+extern "C" const bool lsched_obs_cli_profile_hook_installed =
+    (lsched::setCliProfileHook(&lsched::obs::applyCliProfile), true);

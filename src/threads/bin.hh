@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "support/spin_lock.hh"
 #include "threads/hints.hh"
 #include "threads/thread_group.hh"
 
@@ -47,6 +48,11 @@ struct alignas(64) Bin
     /** True while the bin is linked on the ready list. */
     bool onReadyList = false;
 
+    /** A stream producer's table only: guards the group chain (the
+     *  cursor, the links and the counts) against a seal detaching it.
+     *  Fits the padding before id. */
+    SpinLock lock;
+
     /** Stable allocation index, used as the bin's trace identity. */
     std::uint32_t id = 0;
 
@@ -67,6 +73,39 @@ struct alignas(64) Bin
      * worker as a unit. kNoSuperBin under flat placements.
      */
     std::uint32_t superBin = kNoSuperBin;
+
+    /** A stream producer's table only: the seals this bin led (gave
+     *  their first chain) and the threads sealed out of it. */
+    std::uint32_t sealEpochs = 0;
+    std::uint64_t sealedThreads = 0;
+
+    /** Schedule one thread at the append cursor; a full (or absent)
+     *  tail group gets a fresh group from @p pool. */
+    [[gnu::always_inline]] void
+    append(GroupPool &pool, ThreadFn fn, void *arg1, void *arg2)
+    {
+        if (forkNext == forkEnd) [[unlikely]]
+            openTailGroup(pool);
+        *forkNext++ = {fn, arg1, arg2};
+        ++threadCount;
+    }
+
+    /** Chain a fresh group after the full (or absent) tail and point
+     *  the cursor at it; publishes the old tail's count. */
+    [[gnu::noinline]] void
+    openTailGroup(GroupPool &pool)
+    {
+        ThreadGroup *group = pool.allocate();
+        if (groupsTail) {
+            publishTail();
+            groupsTail->next = group;
+        } else {
+            groupsHead = group;
+        }
+        groupsTail = group;
+        forkNext = group->specs;
+        forkEnd = group->specs + group->capacity;
+    }
 
     /** Write the cursor back into the tail group's count, so a
      *  GroupCursor sees every thread forked so far. */

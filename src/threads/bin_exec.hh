@@ -120,6 +120,7 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
                                            binId, announced);
     }
 
+    // Faults of user threads: each one consumed a thread.
     std::uint64_t faulted = 0;
     if (!contain) {
         if (traced) {
@@ -141,8 +142,9 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
         try {
             LSCHED_FAILPOINT("sched.bin.execute");
         } catch (...) {
+            // Recorded, but it ran no thread: a cancelled tail below
+            // still counts every thread the bin did not get to.
             noteFault(ctx, binId, worker);
-            ++faulted;
             stopped = ctx.policy == ErrorPolicy::StopTour;
         }
         while (!stopped && !cancelled() && cursor.next()) {

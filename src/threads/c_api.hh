@@ -142,7 +142,7 @@ typedef struct th_stats_t
     unsigned long long recover_admission_retries;
     unsigned long long recover_admission_timeouts;
     /** Overload governor: load-shedding episodes (force-sealed stream
-     *  shards), tours stepped down to the serial path, and completed
+     *  bins), tours stepped down to the serial path, and completed
      *  Degraded -> Recovered transitions. */
     unsigned long long recover_load_sheds;
     unsigned long long recover_degraded_tours;

@@ -291,8 +291,6 @@ const Key kKeys[] = {
     countKey<&C::recoverEpochs, 1>("recover_epochs",
                                    "a positive epoch count"),
     flagKey<&C::pinWorkers>("pin_workers"),
-    countKey<&C::streamShards>("stream_shards",
-                               "a shard count (0 = default)"),
     countKey<&C::streamMaxPending>("stream_max_pending",
                                    "a thread bound (0 = unbounded)"),
     countKey<&C::streamSealThreshold>(

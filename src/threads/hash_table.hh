@@ -37,9 +37,8 @@ namespace lsched::threads
  * serialized them — and their sum gets one finalizer (MurmurHash3's
  * fmix64). A zero coordinate adds nothing, so a zero-extended key
  * hashes like its first @p dims coordinates: the batch fork hashes its
- * three coordinates whatever dims (<= 3) is. Shared by both bin
- * tables: the streaming intake shards a fork by the top bits *before*
- * picking which shard's table to probe.
+ * three coordinates whatever dims (<= 3) is. A stream seal hashes
+ * once and probes every producer's table with the result.
  */
 inline std::uint64_t
 hashCoords(const std::uint64_t *coords, unsigned dims)
@@ -70,8 +69,8 @@ class BinTable
      * @param buckets initial slot count (rounded up to a power of
      *        two, minimum kMinSlots).
      * @param idBase offset added to every bin id, so bins from several
-     *        tables (the streaming intake shards) stay distinguishable
-     *        in traces and fault reports.
+     *        tables (the stream producers' tables) stay
+     *        distinguishable in traces and fault reports.
      */
     BinTable(unsigned dims, std::size_t buckets,
              std::uint32_t idBase = 0)
@@ -123,14 +122,33 @@ class BinTable
     Bin *
     find(const BlockCoords &coords)
     {
-        const std::uint64_t h = hash(coords);
+        return findHashed(coords.data(), hash(coords));
+    }
+
+    /** find() with the hash precomputed (see findOrCreateHashed()). */
+    Bin *
+    findHashed(const std::uint64_t *coords, std::uint64_t h)
+    {
         for (std::size_t i = h & mask_; slots_[i];
              i = (i + 1) & mask_) {
             Bin *b = slots_[i];
-            if (b->hashVal == h && sameCoords(b->coords, coords.data()))
+            if (b->hashVal == h && sameCoords(b->coords, coords))
                 return b;
         }
         return nullptr;
+    }
+
+    /** Call @p f on every bin, in creation order. */
+    template <class F>
+    void
+    forEachBin(F &&f)
+    {
+        std::size_t left = binCount_;
+        for (const auto &chunk : chunks_) {
+            Bin *bins = chunkBins(chunk.get());
+            for (std::size_t i = 0; i < kChunkBins && left; ++i, --left)
+                f(bins[i]);
+        }
     }
 
     /** Number of bins ever allocated. */
@@ -229,12 +247,18 @@ class BinTable
             chunks_.push_back(
                 std::unique_ptr<std::byte[]>(new std::byte[kChunkBytes]));
         }
-        void *base = chunks_.back().get();
+        ++binCount_;
+        return new (chunkBins(chunks_.back().get()) + index) Bin();
+    }
+
+    /** The first bin slot of a chunk allocation. */
+    static Bin *
+    chunkBins(std::byte *chunk)
+    {
+        void *base = chunk;
         std::size_t space = kChunkBytes;
         std::align(alignof(Bin), kChunkBins * sizeof(Bin), base, space);
-        ++binCount_;
-        return new (static_cast<std::byte *>(base) + index * sizeof(Bin))
-            Bin();
+        return static_cast<Bin *>(base);
     }
 
     /** Double the slot array and reinsert by cached hash. */

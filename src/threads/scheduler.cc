@@ -319,21 +319,6 @@ LocalityScheduler::refreshHotPlacement()
 }
 
 void
-LocalityScheduler::openTailGroup(Bin *bin)
-{
-    ThreadGroup *group = pool_.allocate();
-    if (ThreadGroup *tail = bin->groupsTail) {
-        bin->publishTail();
-        tail->next = group;
-    } else {
-        bin->groupsHead = group;
-    }
-    bin->groupsTail = group;
-    bin->forkNext = group->specs;
-    bin->forkEnd = group->specs + group->capacity;
-}
-
-void
 LocalityScheduler::publishReadyTails()
 {
     for (Bin *bin = readyHead_; bin; bin = bin->readyNext)
@@ -383,9 +368,9 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
             "forking, or fork from producer threads in a stream.");
     }
     if (stream_) {
-        // Streaming mode: admission goes to the sharded intake, which
-        // is safe from any OS thread (and may block at the
-        // backpressure bound).
+        // Streaming mode: admission goes to the calling producer's
+        // own table, which is safe from any OS thread (and may block
+        // at the backpressure bound).
         stream_->fork(fn, arg1, arg2, hints);
         return;
     }

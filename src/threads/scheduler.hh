@@ -168,12 +168,6 @@ struct SchedulerConfig
      */
     bool pinWorkers = false;
     /**
-     * Streaming (streamBegin/runStream) intake shards: independent
-     * lock+BinTable+GroupPool units producers spread over by
-     * coordinate hash. 0 selects StreamSession::kDefaultShards.
-     */
-    unsigned streamShards = 0;
-    /**
      * Streaming backpressure bound: the most admitted-but-unexecuted
      * threads a stream may hold. At the bound a producer drains a
      * sealed bin inline or blocks until the drain catches up; nested
@@ -587,18 +581,11 @@ class LocalityScheduler
     void
     appendThread(Bin *bin, ThreadFn fn, void *arg1, void *arg2)
     {
-        if (bin->forkNext == bin->forkEnd) [[unlikely]]
-            openTailGroup(bin);
-        *bin->forkNext++ = {fn, arg1, arg2};
-        ++bin->threadCount;
+        bin->append(pool_, fn, arg1, arg2);
         ++pendingThreads_;
         if (!bin->onReadyList) [[unlikely]]
             appendReady(bin);
     }
-
-    /** Chain a fresh group after @p bin's full (or absent) tail and
-     *  point the cursor at it; publishes the old tail's count. */
-    void openTailGroup(Bin *bin);
 
     /** Zero the pending count, folding it into the forked total
      *  (every site that drops or finishes the pending threads). */

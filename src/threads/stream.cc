@@ -1,8 +1,8 @@
 /**
  * @file
- * StreamSession implementation: lock-free sharded intake, seal/epoch
- * hand-off, ticket backpressure, and the drain loops. See stream.hh
- * and DESIGN.md §16 for the design.
+ * StreamSession implementation: per-producer intake tables, the
+ * cross-producer seal/epoch hand-off, ticket backpressure, and the
+ * drain loops. See stream.hh and DESIGN.md §16 for the design.
  */
 
 #include "threads/stream.hh"
@@ -34,6 +34,13 @@ constexpr std::uint64_t kBackoffCapUs = 50'000;
 constexpr std::uint32_t kGovernorTickMillis = 20;
 /** Warn every this many no-progress rounds when retries are ∞. */
 constexpr unsigned kStallWarnPeriod = 32;
+/**
+ * Open bins one forced seal takes, fullest first. One scan of the
+ * table (a lock per bin) then pays for this many seals: with one seal
+ * per scan, perfbench's stream_admit shape at seal threshold 64 ran
+ * about 2M forks/s, with 32 about 6M.
+ */
+constexpr std::size_t kForcedSealBins = 32;
 
 /**
  * True while this producer thread is draining a sealed bin inline
@@ -82,10 +89,10 @@ namespace detail
 
 /**
  * The calling thread's producer record, keyed to one session by
- * generation (like ConcurrentGroupPool's caches). Leaving the session
- * — thread exit, or forking into another session — refunds the
- * record's unused tickets if that session is still live; a finished
- * one already refunded them.
+ * generation, so a record of a finished session is never
+ * dereferenced. Leaving the session — thread exit, or forking into
+ * another session — refunds the record's unused tickets if that
+ * session is still live; a finished one already refunded them.
  */
 struct ProducerHandle
 {
@@ -133,18 +140,19 @@ StreamSession::StreamSession(const SchedulerConfig &config,
                                maxPending_ / kChunkDivisor, 1, kMaxChunk)
                          : kMaxChunk),
       generation_(nextSessionGeneration()),
-      laneSeal_(config.streamSealThreshold),
+      sealShare_(config.streamSealThreshold),
+      buckets_(config.hashBuckets),
+      // An epoch seals at the threshold, so a stream group never needs
+      // more slots than that: producer groups stay small.
+      groupCapacity_(static_cast<std::uint32_t>(
+          sealThreshold_ ? std::min<std::uint64_t>(config.groupCapacity,
+                                                   sealThreshold_)
+                         : config.groupCapacity)),
       deadlineMillis_(config.deadlineMillis),
       admitRetries_(config.streamAdmitRetries),
       placement_(placement),
       placementStateless_(placement.stateless()),
       placementAdaptive_(placement.kind() == PlacementKind::Adaptive),
-      // An epoch seals at the threshold, so a stream group never needs
-      // more slots than that: lane groups stay small.
-      groupPool_(static_cast<std::uint32_t>(
-          sealThreshold_ ? std::min<std::uint64_t>(config.groupCapacity,
-                                                   sealThreshold_)
-                         : config.groupCapacity)),
       fault_(config.onError, &faults_),
       pool_(pool),
       recovery_(recovery),
@@ -153,20 +161,6 @@ StreamSession::StreamSession(const SchedulerConfig &config,
     fault_.recovery = recovery_;
     if (deadlineMillis_ > 0)
         fault_.cancel = &cancel_;
-    const unsigned shardCount =
-        config.streamShards ? config.streamShards : kDefaultShards;
-    // Split the configured bucket budget over the shards; each shard
-    // still grows independently past 3/4 load.
-    const std::size_t bucketsPerShard =
-        std::max<std::size_t>(ConcurrentBinTable::kMinSlots,
-                              config.hashBuckets / shardCount);
-    shards_.reserve(shardCount);
-    for (unsigned i = 0; i < shardCount; ++i) {
-        // Disjoint id spaces per shard (and away from the batch
-        // table's 0-based ids) keep trace/fault bin ids unambiguous.
-        shards_.push_back(std::make_unique<Shard>(
-            config.dims, bucketsPerShard, (i + 1u) << 24));
-    }
     if (pool_) {
         job_.body = &StreamSession::drainMain;
         job_.ctx = this;
@@ -199,14 +193,6 @@ StreamSession::~StreamSession()
         delete p;
         p = next;
     }
-}
-
-unsigned
-StreamSession::shardOf(std::uint64_t hash) const
-{
-    // Top bits pick the shard; the table uses the low bits for its
-    // slot, so the two selections stay independent.
-    return static_cast<unsigned>((hash >> 48) % shards_.size());
 }
 
 std::uint64_t
@@ -251,14 +237,18 @@ StreamSession::attachProducer()
     while (p && p->owner != me)
         p = p->link;
     if (!p) {
-        p = new detail::StreamProducer;
+        // Disjoint id spaces per producer table (and away from the
+        // batch table's 0-based ids) keep trace/fault bin ids
+        // unambiguous.
+        p = new detail::StreamProducer(dims_, buckets_,
+                                       ++registered_ << 24,
+                                       groupCapacity_);
         p->owner = me;
-        p->lane = registered_++ % kStreamLanes;
         p->link = producers_.load(std::memory_order_relaxed);
         producers_.store(p, std::memory_order_release);
     }
     ++liveProducers_;
-    updateLaneSeal();
+    updateSealShare();
     h.generation = generation_;
     h.producer = p;
     return *p;
@@ -271,17 +261,17 @@ StreamSession::releaseProducer(detail::StreamProducer &p)
     p.next = p.end;
     std::lock_guard<std::mutex> lock(producersMutex_);
     --liveProducers_;
-    updateLaneSeal();
+    updateSealShare();
 }
 
 void
-StreamSession::updateLaneSeal()
+StreamSession::updateSealShare()
 {
-    // Producers spread a bin's epoch over their lanes, so each lane
-    // seals at its share: a single producer keeps the exact threshold.
-    const std::uint64_t lanes = std::clamp(liveProducers_, 1u, kStreamLanes);
-    laneSeal_.store((sealThreshold_ + lanes - 1) / lanes,
-                    std::memory_order_relaxed);
+    // Producers spread a bin's epoch over their tables, so each seals
+    // at its share: a single producer keeps the exact threshold.
+    const std::uint64_t live = std::max(liveProducers_, 1u);
+    sealShare_.store((sealThreshold_ + live - 1) / live,
+                     std::memory_order_relaxed);
 }
 
 void
@@ -354,13 +344,14 @@ StreamSession::takeTickets(detail::StreamProducer &p)
     std::uint64_t retired =
         retiredThreads_.load(std::memory_order_acquire);
     if (!t_inInlineDrain && ticket >= retired + maxPending_)
-        retired = waitAtGate(ticket);
+        retired = waitAtGate(p, ticket);
     p.next = p.end = ticket + 1;
     notePeak(ticket < retired ? 0 : ticket + 1 - retired);
 }
 
 std::uint64_t
-StreamSession::waitAtGate(std::uint64_t ticket)
+StreamSession::waitAtGate(detail::StreamProducer &self,
+                          std::uint64_t ticket)
 {
     unsigned noProgress = 0;
     std::uint64_t waitUs = kBackoffBaseUs;
@@ -380,7 +371,7 @@ StreamSession::waitAtGate(std::uint64_t ticket)
                            maxPending_);
         // First choice: help. An inline drain or a force-seal is
         // forward progress this producer made itself.
-        if (tryHelp()) {
+        if (tryHelp(self)) {
             noProgress = 0;
             waitUs = kBackoffBaseUs;
             continue;
@@ -439,7 +430,7 @@ StreamSession::waitAtGate(std::uint64_t ticket)
 }
 
 bool
-StreamSession::tryHelp()
+StreamSession::tryHelp(detail::StreamProducer &self)
 {
     // Become the drain: one sealed bin run inline frees at least one
     // admission slot without waiting on anyone.
@@ -451,29 +442,67 @@ StreamSession::tryHelp()
         return true;
     }
     // Nothing sealed yet: the backlog is sitting in open bins. Seal
-    // one so the drain (pool or our next pass) has work.
-    return forceSealOne();
+    // the fullest so the drain (pool or our next pass) gets the most
+    // work per seal.
+    return forceSealFullest(self);
 }
 
 bool
-StreamSession::seal(StreamBin &bin, detail::SealedBin &out)
+StreamSession::seal(const std::uint64_t *coords, std::uint64_t h,
+                    detail::StreamProducer *self)
 {
-    // The loads skip an empty bin without writing its line.
-    if (!streamBinOpen(bin))
+    detail::SealedBin item;
+    ThreadGroup *tail = nullptr;
+    bool queued = false;
+    // Hand over hand: the next table's bin is locked before the last
+    // one is released, and the push happens under the last. Two seals
+    // of the same coordinates therefore pass every table, and reach
+    // the ring, in one order, so a producer's threads of one bin drain
+    // in fork order across epochs too.
+    Bin *held = nullptr;
+    for (detail::StreamProducer *p = firstProducer(); p; p = p->link) {
+        Bin *bin = nullptr;
+        if (p == self) {
+            bin = p->table.findHashed(coords, h);
+        } else {
+            std::lock_guard<SpinLock> lock(p->tableLock);
+            bin = p->table.findHashed(coords, h);
+        }
+        if (!bin)
+            continue;
+        bin->lock.lock();
+        if (held)
+            held->lock.unlock();
+        held = bin;
+        if (bin->threadCount) {
+            if (!item.groups) {
+                // The first chain's bin leads the seal: it carries the
+                // epoch count and names the work item.
+                ++bin->sealEpochs;
+                item.binId = bin->id;
+                item.superBin = bin->superBin;
+                item.groups = bin->groupsHead;
+            } else {
+                tail->next = bin->groupsHead;
+            }
+            tail = bin->groupsTail;
+            item.threads += bin->threadCount;
+            bin->sealedThreads += bin->threadCount;
+            bin->clearGroups();
+        }
+        // Each seal of these coordinates was led by exactly one bin,
+        // so the sum is this seal's 1-based epoch.
+        item.epoch += bin->sealEpochs;
+    }
+    if (item.groups)
+        queued = queue_.tryPush(item);
+    if (held)
+        held->lock.unlock();
+    if (!item.groups)
         return false;
-    const SealedChain chain = sealStreamBin(bin, groupPool_);
-    if (!chain.head)
-        return false; // a racing sealer beat us to it
-    out = {bin.id, chain.epoch, bin.superBin, chain.threads, chain.head};
-    return true;
-}
-
-void
-StreamSession::enqueue(const detail::SealedBin &item)
-{
-    LSCHED_TRACE_EVENT(obs::EventType::StreamSeal, item.binId,
-                       item.epoch, item.threads);
-    while (!queue_.tryPush(item)) {
+    LSCHED_TRACE_EVENT(obs::EventType::StreamSeal, item.binId, item.epoch,
+                       item.threads);
+    while (!queued && !queue_.tryPush(item)) {
         // Ring full: relieve it ourselves instead of spinning — in
         // the inline-only mode (no pool) nobody else ever would.
         detail::SealedBin victim;
@@ -493,29 +522,44 @@ StreamSession::enqueue(const detail::SealedBin &item)
             throw;
         }
     }
+    return true;
 }
 
 bool
-StreamSession::forceSealOne()
+StreamSession::forceSealFullest(detail::StreamProducer &self)
 {
-    const unsigned n = static_cast<unsigned>(shards_.size());
-    const unsigned start =
-        sealCursor_.fetch_add(1, std::memory_order_relaxed);
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned index = (start + i) % n;
-        ConcurrentBinTable &table = shards_[index]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            detail::SealedBin item;
-            // A null bin: segment install still in flight.
-            if (bin && seal(*bin, item)) {
-                enqueue(item);
-                return true;
-            }
+    std::vector<std::pair<std::uint64_t, Bin *>> open;
+    const auto scan = [&](detail::StreamProducer &p) {
+        p.table.forEachBin([&](Bin &bin) {
+            std::lock_guard<SpinLock> lock(bin.lock);
+            if (bin.threadCount)
+                open.emplace_back(bin.threadCount, &bin);
+        });
+    };
+    // The caller's own bins first: they sit in this CPU's cache, where
+    // every bin of another table is a miss. The others are scanned
+    // only when the caller has nothing open (its backlog is theirs).
+    scan(self);
+    for (detail::StreamProducer *p = firstProducer(); p && open.empty();
+         p = p->link) {
+        if (p != &self) {
+            std::lock_guard<SpinLock> lock(p->tableLock);
+            scan(*p);
         }
     }
-    return false;
+    // Fullest first; a bin's coordinates and hash never change, so
+    // they are read without its lock.
+    const std::size_t n = std::min(open.size(), kForcedSealBins);
+    std::partial_sort(open.begin(), open.begin() + n, open.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first > b.first;
+                      });
+    bool sealed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Bin &bin = *open[i].second;
+        sealed |= seal(bin.coords.data(), bin.hashVal, &self);
+    }
+    return sealed;
 }
 
 void
@@ -532,10 +576,10 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
         takeTickets(self);
 
     PlacementDecision where;
+    std::uint64_t h = 0;
     bool doSeal = false;
     bool created = false;
     std::uint32_t binId = 0;
-    detail::SealedBin sealed;
     try {
         if (placementStateless_) {
             where = placement_.place(hints);
@@ -543,19 +587,28 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             std::lock_guard<std::mutex> lock(placementMutex_);
             where = placement_.place(hints);
         }
-
-        const std::uint64_t h = hashCoords(where.coords.data(), dims_);
-        Shard &shard = *shards_[shardOf(h)];
-
-        const auto [bin, fresh] =
-            shard.table.findOrCreate(where.coords, h, where.superBin);
-        created = fresh;
+        h = hashCoords(where.coords.data(), dims_);
+        // The batch fork body, in this producer's own table. Only this
+        // thread changes the table, so it finds a bin without the
+        // table lock, and takes it to create one.
+        Bin *bin = self.table.findHashed(where.coords.data(), h);
+        if (!bin) {
+            std::lock_guard<SpinLock> lock(self.tableLock);
+            bin = self.table
+                      .findOrCreateHashed(where.coords.data(), h,
+                                          where.superBin)
+                      .first;
+            created = true;
+        }
         binId = bin->id;
-        const std::uint64_t lanePos =
-            appendStreamSpec(*bin, self.lane, groupPool_, fn, arg1, arg2);
+        std::lock_guard<SpinLock> lock(bin->lock);
+        bin->append(self.pool, fn, arg1, arg2);
+        // The tail group is this producer's own line: keeping its count
+        // current here spares a sealer a write to it.
+        bin->publishTail();
         const std::uint64_t share =
-            laneSeal_.load(std::memory_order_relaxed);
-        doSeal = share && lanePos >= share && seal(*bin, sealed);
+            sealShare_.load(std::memory_order_relaxed);
+        doSeal = share && bin->threadCount >= share;
     } catch (...) {
         // The admission slot was reserved up front; hand it back with
         // the rest of the chunk, so an allocation failure can wedge
@@ -575,8 +628,10 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
         LSCHED_TRACE_EVENT(obs::EventType::ThreadFork, binId,
                            where.coords[0], where.coords[1]);
     }
+    // Never under the bin's lock: the push may drain inline, and the
+    // threads it runs fork into this same table.
     if (doSeal)
-        enqueue(sealed);
+        seal(where.coords.data(), h, &self);
 }
 
 void
@@ -612,10 +667,8 @@ StreamSession::discard(const detail::SealedBin &item)
 void
 StreamSession::retire(const detail::SealedBin &item)
 {
-    groupPool_.recycleChain(item.groups);
-    // The release pairs with the gate's acquire: a producer that
-    // passes on these retirements also sees the recycled groups'
-    // state reach the free tiers coherently.
+    // Each group goes back to the producer that carved it.
+    GroupPool::giveBackChain(item.groups);
     retiredThreads_.fetch_add(item.threads, std::memory_order_release);
 }
 
@@ -733,21 +786,50 @@ std::uint64_t
 StreamSession::sealAll()
 {
     std::uint64_t sealed = 0;
-    for (const auto &shard : shards_) {
-        const ConcurrentBinTable &table = shard->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            detail::SealedBin item;
-            // A null bin: a segment install in flight, or a failed
-            // carve's permanent gap.
-            if (bin && seal(*bin, item)) {
-                enqueue(item);
-                ++sealed;
-            }
+    std::vector<std::pair<BlockCoords, std::uint64_t>> open;
+    for (detail::StreamProducer *p = firstProducer(); p; p = p->link) {
+        open.clear();
+        {
+            std::lock_guard<SpinLock> lock(p->tableLock);
+            p->table.forEachBin([&](Bin &bin) {
+                std::lock_guard<SpinLock> chain(bin.lock);
+                if (bin.threadCount)
+                    open.emplace_back(bin.coords, bin.hashVal);
+            });
         }
+        // A bin an earlier seal emptied (it held these coordinates
+        // too) seals nothing.
+        for (const auto &[coords, h] : open)
+            sealed += seal(coords.data(), h, nullptr);
     }
     return sealed;
+}
+
+std::vector<StreamBinReport>
+StreamSession::mergedBins() const
+{
+    std::vector<StreamBinReport> all;
+    for (detail::StreamProducer *p = firstProducer(); p; p = p->link) {
+        std::lock_guard<SpinLock> lock(p->tableLock);
+        p->table.forEachBin([&](Bin &bin) {
+            std::lock_guard<SpinLock> chain(bin.lock);
+            all.push_back({bin.coords, bin.sealEpochs, bin.sealedThreads});
+        });
+    }
+    std::sort(all.begin(), all.end(),
+              [](const StreamBinReport &a, const StreamBinReport &b) {
+                  return a.coords < b.coords;
+              });
+    std::vector<StreamBinReport> merged;
+    for (const StreamBinReport &r : all) {
+        if (!merged.empty() && merged.back().coords == r.coords) {
+            merged.back().epochs += r.epochs;
+            merged.back().threads += r.threads;
+        } else {
+            merged.push_back(r);
+        }
+    }
+    return merged;
 }
 
 void
@@ -775,19 +857,13 @@ StreamSession::finish()
 
     // Producers have stopped (the owner's contract). Leave the live
     // list first, so no exiting thread refunds into this session any
-    // more, then refund every record's unused tickets.
+    // more; every record's unused tickets are refunded at the end.
     {
         LiveSessions &live = liveSessions();
         std::lock_guard<std::mutex> lock(live.mutex);
         std::erase_if(live.sessions, [this](const auto &entry) {
             return entry.second == this;
         });
-    }
-    for (detail::StreamProducer *p =
-             producers_.load(std::memory_order_acquire);
-         p; p = p->link) {
-        refund(p->end - p->next);
-        p->next = p->end;
     }
 
     // Seal every open chain so the tail of the stream drains like any
@@ -801,33 +877,32 @@ StreamSession::finish()
     }
     // Inline-only mode (no pool): the caller drains the whole tail as
     // worker 0. With helpers the queue is already empty — they only
-    // exit waitPop once it is.
+    // exit waitPop once it is. Threads drained here may fork again,
+    // into the caller's table: seal what they leave open and go on
+    // until nothing is.
     detail::SealedBin item;
-    while (queue_.tryPop(item)) {
-        if (fault_.stopRequested())
-            discard(item);
-        else
-            drainOne(item, 0);
+    do {
+        while (queue_.tryPop(item)) {
+            if (fault_.stopRequested()) {
+                discard(item);
+            } else {
+                InlineDrainScope inDrain;
+                drainOne(item, 0);
+            }
+        }
+    } while (sealAll());
+    // After the drain, which may have taken tickets for nested forks.
+    for (detail::StreamProducer *p = firstProducer(); p; p = p->link) {
+        refund(p->end - p->next);
+        p->next = p->end;
     }
 
-    for (const auto &shardPtr : shards_) {
-        const ConcurrentBinTable &table = shardPtr->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            const StreamBin *bin = table.binAt(b);
-            if (!bin)
-                continue;
-            const std::uint64_t threads =
-                bin->totalThreads.load(std::memory_order_relaxed);
-            if (!threads)
-                continue; // spare or never-forked bin
-            StreamBinReport r;
-            r.coords = bin->coords;
-            r.epochs = bin->epochs.load(std::memory_order_relaxed);
-            r.threads = threads;
-            bins_.push_back(r);
-        }
-    }
+    bins_ = mergedBins();
+    binsCreated_ = bins_.size();
+    // A bin whose first fork failed to get a group holds no thread.
+    std::erase_if(bins_, [](const StreamBinReport &r) {
+        return r.threads == 0;
+    });
 }
 
 StreamStats
@@ -848,10 +923,7 @@ StreamSession::stats() const
 std::uint64_t
 StreamSession::binsCreated() const
 {
-    std::uint64_t created = 0;
-    for (const auto &shard : shards_)
-        created += shard->table.createdCount();
-    return created;
+    return finished_ ? binsCreated_ : mergedBins().size();
 }
 
 } // namespace lsched::threads

@@ -9,28 +9,31 @@
  * overlaps execution and the machine never idles waiting for bins to
  * be built.
  *
- * Structure (lock-free admission path — see DESIGN.md §16):
+ * Structure (producer tables — see DESIGN.md §16):
  *
- *  - Intake is *sharded*: forks hash their block coordinates once
- *    (hashCoords) — the top bits pick a shard, the rest the slot in
- *    that shard's ConcurrentBinTable. Shards no longer carry a mutex:
- *    lookup/insert is a CAS into the shard's open-addressing table,
- *    and sharding survives purely to split the id spaces and spread
- *    growth freezes. Group storage comes from ONE shared
- *    ConcurrentGroupPool whose fast path is a per-producer
- *    thread-local cache over a lock-free global refill.
+ *  - Each producer thread forks into its *own* batch BinTable and
+ *    GroupPool, the same find-bin + cursor append a batch fork runs.
+ *    Only the owner changes its table, so it finds a bin without a
+ *    lock; it takes the table's lock to create one, and the bin's own
+ *    one-byte lock to append. Only a seal takes either from another
+ *    thread, so the owner's are uncontended on the fork path.
+ *    Producer k's table numbers its bins from (k + 1) << 24, away from
+ *    the batch table's 0-based ids.
  *
- *  - Bins gain *seal/epoch* semantics: a bin anchors its current
- *    epoch's thread groups in per-producer append lanes (one atomic
- *    tail each); producers append to their own lane with a
- *    claim/ready reservation protocol and sealing exchanges every
- *    lane, handing the concatenated chain to exactly one caller
- *    (concurrent_bin_table.hh). A bin seals when one lane reaches its
- *    share of streamSealThreshold (the whole threshold for a single
- *    producer), when a producer under backpressure force-seals it,
- *    or at finish(). Drain workers execute *sealed* chains only — the
- *    seal is the hand-off point, after which the chain is exclusively
- *    the drainer's.
+ *  - Bins gain *seal/epoch* semantics: sealing coordinates X detaches
+ *    X's chain from every producer table that holds it and
+ *    concatenates the chains in producer order into one SealedBin, so
+ *    each producer's forks keep their order within the epoch. The
+ *    seal locks X's bins hand over hand and queues the chain under the
+ *    last lock, so seals of one bin reach the drain in detach order. A
+ *    bin seals when one producer's open threads in it reach its share
+ *    of streamSealThreshold (the whole threshold for a single
+ *    producer), when a producer held at the gate force-seals the
+ *    fullest open bins, or at finish(). Drain workers execute *sealed*
+ *    chains only — the seal is the hand-off point, after which the
+ *    chain is exclusively the drainer's — and give each retired group
+ *    back to the producer that carved it, through a lock-free return
+ *    stack in that producer's GroupPool.
  *
  *  - Backpressure bounds memory through a *ticket gate*: every
  *    admission uses a ticket. A producer reserves a chunk of tickets
@@ -39,18 +42,19 @@
  *    each fork in it touches only the producer's own record. With no
  *    room left, a producer takes one ticket (one fetch_add) and waits
  *    until the drain has retired enough threads that it fits, which
- *    keeps the backlog exactly bounded and FIFO-fair without any
- *    mutex. Unused chunk tickets are refunded when the producer
- *    thread exits and at finish(). A producer held at the gate first
- *    tries to drain one sealed bin
- *    inline (becoming worker 0 for that bin), then to force-seal an
- *    open bin for the pool, and only then backs off with a timed,
- *    jittered exponential sleep — the slow path that preserves the
- *    stream_admit_retries / AdmissionTimeout semantics. Nested forks
- *    from a thread *being drained inline* bypass the bound — blocking
- *    there would deadlock the very producer doing the draining — so
- *    for workloads that fork from user threads the bound is a soft
- *    target, exact otherwise.
+ *    keeps the backlog exactly bounded and FIFO-fair. Unused chunk
+ *    tickets are refunded when the producer thread exits and at
+ *    finish(). A producer held at the gate first tries to drain one
+ *    sealed bin inline (becoming worker 0 for that bin), then to
+ *    force-seal the fullest open bins of its own table (of the other
+ *    tables when it has none open), and only then backs off with a
+ *    timed, jittered exponential sleep — the slow path that preserves
+ *    the stream_admit_retries / AdmissionTimeout semantics. No lock is
+ *    held across a drain: nested forks from a thread *being drained
+ *    inline* land in the draining producer's own table and bypass the
+ *    bound — blocking there would deadlock the very producer doing
+ *    the draining — so for workloads that fork from user threads the
+ *    bound is a soft target, exact otherwise.
  *
  * Draining is the third execution mode next to serial and pooled
  * tours: there is no tour to partition — work arrives
@@ -72,9 +76,9 @@
 #include <thread>
 #include <vector>
 
-#include "threads/concurrent_bin_table.hh"
-#include "threads/concurrent_group_pool.hh"
+#include "support/spin_lock.hh"
 #include "threads/fault.hh"
+#include "threads/hash_table.hh"
 #include "threads/hints.hh"
 #include "threads/placement.hh"
 #include "threads/recovery.hh"
@@ -148,36 +152,44 @@ struct SealedBin
     ThreadGroup *groups = nullptr;
 };
 
-/** Spin-wait hint: lets a sibling hyperthread run while we poll. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
 /**
- * One producer thread's admission state in one session. Only its
- * thread writes it (the session reads it once producers stopped), so
- * a fork's ticket and its count land on a line the producer owns.
+ * One producer thread's admission state in one session. Its thread
+ * alone writes the ticket fields, its table's structure and its pool.
+ * Other threads probe the table under tableLock, which the owner takes
+ * only to create a bin; a bin's group chain is guarded by the bin's
+ * own lock, which the owner takes to fork into it and a sealer to
+ * detach the chain. Drain workers give groups back to pool lock-free.
  */
 struct alignas(64) StreamProducer
 {
+    StreamProducer(unsigned dims, std::size_t buckets,
+                   std::uint32_t idBase, std::uint32_t groupCapacity)
+        : table(dims, buckets, idBase), pool(groupCapacity, &returned)
+    {
+    }
+
     /** Unused tickets of the current chunk, [next, end); every one of
      *  them already passed the gate. */
     std::uint64_t next = 0;
     std::uint64_t end = 0;
     /** Threads this producer admitted; live forked is their sum. */
     std::atomic<std::uint64_t> admitted{0};
-    /** The append lane this producer uses in every bin. */
-    unsigned lane = 0;
     /** The thread that owns the record (found again on re-attach). */
     std::thread::id owner;
-    /** Next record of the session's list; fixed before publication. */
+    /** Next record of the session's list (producer order); fixed
+     *  before publication. */
     StreamProducer *link = nullptr;
+
+    /** Orders other threads' probes of table after the owner's
+     *  changes to it. On its own line: sealers write it. */
+    alignas(64) SpinLock tableLock;
+    /** This producer's open bins, as a batch fork builds them. */
+    BinTable table;
+    /** Groups for table's bins; the drain gives them back here. */
+    GroupPool pool;
+    /** pool's return stack. On its own line: the drain's pushes stay
+     *  off the lines the owner writes. */
+    alignas(64) std::atomic<ThreadGroup *> returned{nullptr};
 };
 
 /** The calling thread's producer record (thread-local). */
@@ -280,7 +292,7 @@ class SealedQueue
                     return true;
                 if (finished_.load(std::memory_order_relaxed))
                     break;
-                cpuRelax();
+                lsched::cpuRelax();
             }
             if (tryPop(out))
                 return true;
@@ -376,8 +388,6 @@ class SealedQueue
 class StreamSession
 {
   public:
-    /** Shards used when the config leaves streamShards at 0. */
-    static constexpr unsigned kDefaultShards = 8;
     /** Largest ticket chunk a producer reserves at once. */
     static constexpr std::uint64_t kMaxChunk = 64;
     /** A gated chunk is at most streamMaxPending / this, so an idle
@@ -426,7 +436,7 @@ class StreamSession
     /** Live (or final) counters. */
     StreamStats stats() const;
 
-    /** Bins the session's shard tables created so far. */
+    /** Distinct bin coordinates the producers' tables created. */
     std::uint64_t binsCreated() const;
 
     /** Per-bin totals; valid after finish(). */
@@ -457,24 +467,8 @@ class StreamSession
   private:
     friend struct detail::ProducerHandle;
 
-    /**
-     * One intake shard: its own concurrent table (disjoint id space),
-     * no lock. Padded so the tables' hot heads do not false-share.
-     */
-    struct alignas(64) Shard
-    {
-        ConcurrentBinTable table;
-
-        Shard(unsigned dims, std::size_t buckets,
-              std::uint32_t idBase)
-            : table(dims, buckets, idBase)
-        {
-        }
-    };
-
     static void drainMain(unsigned worker, void *ctx);
 
-    unsigned shardOf(std::uint64_t hash) const;
     /** The calling thread's record in this session (attach on first
      *  use). */
     detail::StreamProducer &producer();
@@ -482,13 +476,15 @@ class StreamSession
     detail::StreamProducer &attachProducer();
     /** Refund @p p's unused tickets; it stops counting as live. */
     void releaseProducer(detail::StreamProducer &p);
-    /** Lane seal share from the live producer count (mutex held). */
-    void updateLaneSeal();
+    /** Seal share from the live producer count (mutex held). */
+    void updateSealShare();
     /** Take a chunk of tickets that fits the gate, or one ticket and
      *  wait out the maxPending gate. */
     void takeTickets(detail::StreamProducer &p);
-    /** Gate slow path; returns the retired count it passed on. */
-    std::uint64_t waitAtGate(std::uint64_t ticket);
+    /** Gate slow path of @p self's @p ticket; returns the retired
+     *  count it passed on. */
+    std::uint64_t waitAtGate(detail::StreamProducer &self,
+                             std::uint64_t ticket);
     /** Raise peak_ to @p backlog if it is higher. */
     void notePeak(std::uint64_t backlog);
     /** Hand @p n tickets back: retired first, then refunds_. */
@@ -499,16 +495,28 @@ class StreamSession
     std::uint64_t backlog() const;
     /** Help at the bound: inline-drain a sealed bin or force-seal an
      *  open one. False when the backlog is entirely in flight. */
-    bool tryHelp();
-    /** Detach @p bin's open epoch as a work item (false: none). */
-    bool seal(StreamBin &bin, detail::SealedBin &out);
+    bool tryHelp(detail::StreamProducer &self);
+    /** The first producer record (the newest). */
+    detail::StreamProducer *firstProducer() const
+    {
+        return producers_.load(std::memory_order_acquire);
+    }
+    /** Seal @p coords: detach its open chains from every producer
+     *  table as one work item and queue it (drains inline when the
+     *  ring is full, so a push can never deadlock); false when
+     *  nothing was open. @p self is the caller's own record, if it
+     *  is a producer. */
+    bool seal(const std::uint64_t *coords, std::uint64_t h,
+              detail::StreamProducer *self);
     /** Seal and queue every open bin; returns how many. */
     std::uint64_t sealAll();
-    /** Trace + count + queue one sealed chain (drains inline when the
-     *  ring is full, so a push can never deadlock). */
-    void enqueue(const detail::SealedBin &item);
-    /** Seal the first non-empty open bin, rotating over shards. */
-    bool forceSealOne();
+    /** Seal the coordinates of the fullest open bins (up to
+     *  kForcedSealBins) of @p self's table, or of the other tables
+     *  when @p self has none open. */
+    bool forceSealFullest(detail::StreamProducer &self);
+    /** Every producer table's bins, one report per coordinate
+     *  (sorted, including bins that hold no thread). */
+    std::vector<StreamBinReport> mergedBins() const;
     /** Execute one sealed chain as @p worker and retire it. */
     void drainOne(const detail::SealedBin &item, unsigned worker);
     /** Retire a chain without running it (StopTour/cancel discard). */
@@ -529,9 +537,13 @@ class StreamSession
     const std::uint64_t chunk_;
     /** Identity checked by the thread-local producer handles. */
     const std::uint64_t generation_;
-    /** Lane position that seals a bin: sealThreshold_ over the live
-     *  producers (at most kStreamLanes), rounded up; 0 = never. */
-    std::atomic<std::uint64_t> laneSeal_{0};
+    /** Open threads of one producer that seal a bin: sealThreshold_
+     *  over the live producers, rounded up; 0 = never. */
+    std::atomic<std::uint64_t> sealShare_{0};
+    /** Each producer table's starting slot count. */
+    const std::size_t buckets_;
+    /** Threads per group in the producers' pools. */
+    const std::uint32_t groupCapacity_;
     /** Epoch deadline: cancel when a standing backlog retires nothing
      *  for a full period. 0 = no deadline. */
     const std::uint32_t deadlineMillis_;
@@ -545,14 +557,10 @@ class StreamSession
     /** Adaptive placement: the monitor ticks maybeRetune(). */
     const bool placementAdaptive_;
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Group storage, shared by every shard and drain worker. */
-    ConcurrentGroupPool groupPool_;
     detail::SealedQueue queue_;
-    /** Rotation cursor for forceSealOne's shard scan. */
-    std::atomic<unsigned> sealCursor_{0};
 
-    /** Every producer record, newest first; freed with the session. */
+    /** Every producer record, newest first; freed with the session.
+     *  Seals walk it in this order. */
     std::atomic<detail::StreamProducer *> producers_{nullptr};
     /** Serializes attach/release bookkeeping (rare). */
     std::mutex producersMutex_;
@@ -564,7 +572,7 @@ class StreamSession
 
     /**
      * One home per counter, one cache line per writer. A fork writes
-     * only its producer's record (plus its lane group's claim/ready);
+     * only its producer's record and table;
      * tickets_ moves once per chunk. forked is the sum of the records'
      * admitted counts, the backlog tickets_ − retiredThreads_ (gate
      * waiters and reserved chunks included). A ticket passes once
@@ -590,6 +598,8 @@ class StreamSession
     bool helpersRunning_ = false;
 
     std::vector<StreamBinReport> bins_;
+    /** Distinct coordinates created, fixed by finish(). */
+    std::uint64_t binsCreated_ = 0;
     bool finished_ = false;
 
     /** Raised by the monitor on epoch-deadline expiry; fault_.cancel

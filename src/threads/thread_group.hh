@@ -27,57 +27,21 @@
 namespace lsched::threads
 {
 
+class GroupPool;
+
 /** A chunk of thread specifications chained within one bin. */
 struct ThreadGroup
 {
-    /**
-     * Streaming claim word, low half: bit set once a sealer has closed
-     * the group. Producers that meet it in the claim word divert to a
-     * fresh group (concurrent_bin_table.hh).
-     */
-    static constexpr std::uint64_t kClosed = 0x80000000u;
-
     /** Chunk storage; points into the owning pool's slab. */
     ThreadSpec *specs = nullptr;
+    /** The pool that carved the group, where giveBack() returns it. */
+    GroupPool *owner = nullptr;
     /** Capacity of specs. */
     std::uint32_t capacity = 0;
-    /** Number of live specs (on a free stream batch's head group: the
-     *  batch length, see ConcurrentGroupPool). */
+    /** Number of live specs. */
     std::uint32_t count = 0;
     /** Next group in the same bin (fork order). */
     ThreadGroup *next = nullptr;
-
-    /**
-     * Streaming (lock-free intake) protocol, unused by the batch path.
-     * The claim word packs [life generation:32][kClosed | slots:31]:
-     * ConcurrentGroupPool::allocate() starts each life by bumping the
-     * generation half and zeroing the rest, and producers reserve a
-     * slot with a CAS whose expected value carries the generation
-     * their lane's tail word named — a producer that slept across this
-     * group's seal/drain/recycle always fails the CAS (new life, new
-     * generation) instead of writing into somebody else's group. The
-     * winner writes its spec and publishes it by bumping ready; the
-     * sealer ORs kClosed into claim, then waits until ready covers
-     * every reserved slot before the chain is handed to a drain
-     * worker. prev links a lane's current-epoch chain newest-first
-     * (the only direction a lock-free append can build); sealing
-     * reverses it into the fork-order next chain the GroupCursor
-     * walks.
-     */
-    std::atomic<std::uint64_t> claim{0};
-    std::atomic<std::uint32_t> ready{0};
-    /** Streaming: the epoch's threads in earlier groups, written once
-     *  at install, so slot i is the epoch's (epochBase + i + 1)-th.
-     *  Atomic: a stale-tail producer may read it across a recycle. */
-    std::atomic<std::uint32_t> epochBase{0};
-    ThreadGroup *prev = nullptr;
-    /** Index in the owning ConcurrentGroupPool's slab directory (the
-     *  ABA-safe free list links groups by index, not pointer). */
-    std::uint32_t poolIndex = 0;
-    /** Free-list successor index (+1; 0 = end). Atomic only because a
-     *  racing pop may read it while a re-push writes it; the stack
-     *  head's tag makes such stale reads harmless. */
-    std::atomic<std::uint32_t> freeNext{0};
 
     /** True when no further spec fits. */
     bool full() const { return count == capacity; }
@@ -90,14 +54,18 @@ struct ThreadGroup
     }
 };
 
-// Shared with the batch path: streaming fields live in the padding.
-static_assert(sizeof(ThreadGroup) == 56 && alignof(ThreadGroup) == 8,
-              "ThreadGroup must stay 56 bytes, 8-aligned");
-
 /**
  * Allocator/recycler for ThreadGroups. Fresh groups are carved from
  * slabs (stable addresses, two allocations per kSlabGroups groups);
  * recycled groups come off an intrusive free list in constant time.
+ *
+ * One thread owns the pool (allocate, recycleChain). A pool built
+ * with a return stack also takes groups back from other threads
+ * through giveBack(): a stream drain returns a sealed chain's groups
+ * to the producers that carved them this way. The stack is a
+ * lock-free head the owner of the pool places (on a cache line of its
+ * own), and allocate() takes it whole with one exchange once the free
+ * list runs dry.
  */
 class GroupPool
 {
@@ -105,9 +73,14 @@ class GroupPool
     /** Groups carved per slab allocation. */
     static constexpr std::uint32_t kSlabGroups = 16;
 
-    /** @param capacity threads per group (> 0). */
-    explicit GroupPool(std::uint32_t capacity)
-        : capacity_(capacity)
+    /**
+     * @param capacity threads per group (> 0).
+     * @param returns head of the return stack, or nullptr when no
+     *        other thread gives groups back; must outlive the pool.
+     */
+    explicit GroupPool(std::uint32_t capacity,
+                       std::atomic<ThreadGroup *> *returns = nullptr)
+        : capacity_(capacity), returns_(returns)
     {
         LSCHED_ASSERT(capacity_ > 0, "group capacity must be positive");
     }
@@ -116,6 +89,9 @@ class GroupPool
     ThreadGroup *
     allocate()
     {
+        if (!free_ && returns_ &&
+            returns_->load(std::memory_order_relaxed))
+            free_ = returns_->exchange(nullptr, std::memory_order_acquire);
         ThreadGroup *g;
         if (free_) {
             g = free_;
@@ -139,6 +115,39 @@ class GroupPool
             free_ = head;
             head = next;
         }
+    }
+
+    /**
+     * Return every group of the next-linked chain @p head to the pool
+     * that carved it, from any thread: one giveBack() per run of
+     * groups with the same owner.
+     */
+    static void
+    giveBackChain(ThreadGroup *head)
+    {
+        while (head) {
+            ThreadGroup *last = head;
+            while (last->next && last->next->owner == head->owner)
+                last = last->next;
+            ThreadGroup *rest = last->next;
+            head->owner->giveBack(head, last);
+            head = rest;
+        }
+    }
+
+    /** Push the run @p first .. @p last (linked by next) onto the
+     *  return stack; safe from any thread. */
+    void
+    giveBack(ThreadGroup *first, ThreadGroup *last)
+    {
+        LSCHED_ASSERT(returns_, "giveBack() on a pool without a return "
+                                "stack");
+        ThreadGroup *top = returns_->load(std::memory_order_relaxed);
+        do {
+            last->next = top;
+        } while (!returns_->compare_exchange_weak(
+            top, first, std::memory_order_release,
+            std::memory_order_relaxed));
     }
 
     /** Threads per group. */
@@ -178,6 +187,7 @@ class GroupPool
         ThreadGroup *g = &slab.groups[slabUsed_];
         g->specs = slab.specs.get() +
                    static_cast<std::size_t>(slabUsed_) * capacity_;
+        g->owner = this;
         g->capacity = capacity_;
         ++slabUsed_;
         ++handedOut_;
@@ -185,6 +195,7 @@ class GroupPool
     }
 
     std::uint32_t capacity_;
+    std::atomic<ThreadGroup *> *returns_;
     /** Groups carved from the current (last) slab; == kSlabGroups
      *  forces a new slab on the next carve. */
     std::uint32_t slabUsed_ = kSlabGroups;

@@ -406,6 +406,35 @@ TEST_P(BinExecPolicy, BinExecuteFailPointFiresBeforeAnyThread)
     }
 }
 
+TEST(BinExec, BinTopFaultLeavesTheCancelledTailWhole)
+{
+    if (!fp::kCompiled)
+        GTEST_SKIP() << "fail points compiled out";
+    // The injected bin-top fault consumes no thread. When a
+    // cancellation then cuts the bin short, the whole un-run tail is
+    // the cancelled count, so executed + faults still equals the
+    // threads plus the one injected fire.
+    Script script;
+    CancelToken token;
+    script.cancel = &token;
+    script.cancelAfter = 5;
+    Chain chain(script, {4, 4, 2});
+    const std::uint64_t n = chain.threads();
+    std::vector<ThreadFault> faults;
+    FaultCtx ctx(ErrorPolicy::ContinueAndCollect, &faults);
+    ctx.cancel = &token;
+    ASSERT_TRUE(fp::arm("sched.bin.execute", "once"));
+
+    const std::uint64_t ran =
+        executeBin(kBinId, n, ctx, kWorker, GroupCursor(chain.head()));
+    EXPECT_EQ(fp::fireCount("sched.bin.execute"), 1u);
+    fp::disarmAll();
+    EXPECT_EQ(ran, 6u);
+    EXPECT_EQ(script.ran, iota(6));
+    EXPECT_EQ(ctx.cancelledThreads.load(), n - ran);
+    EXPECT_EQ(ran + ctx.totalFaults, n + 1);
+}
+
 TEST_P(BinExecPolicy, BinOverloadReadsTheBinsChainAndId)
 {
     Script script;

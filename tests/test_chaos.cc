@@ -22,8 +22,8 @@
  *  - monotone recovery counters: sched.recover.* never step backward;
  *  - producer-local admission: a producer idling on a reserved chunk
  *    never stalls the others, an exiting producer's unused tickets
- *    come back, each producer's forks stay in fork order within every
- *    bin epoch, and the ledger and the backlog bound hold exactly.
+ *    come back, each producer's forks of one bin run in fork order,
+ *    and the ledger and the backlog bound hold exactly.
  *
  * The whole binary must stay clean under LSCHED_SANITIZE=thread
  * (ctest -L chaos under the tsan preset).
@@ -44,7 +44,7 @@
 #include "support/failpoint.hh"
 #include "support/prng.hh"
 #include "threads/scheduler.hh"
-#include "stream_lane_check.hh"
+#include "stream_order_check.hh"
 
 namespace
 {
@@ -313,9 +313,9 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
 {
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
-    // Lock-free admission under fire: eight producers force the
-    // per-shard tables through concurrent growth cycles (minimum
-    // starting slots, thousands of distinct bins) while a periodic
+    // Producer tables under fire: eight producers grow their own
+    // tables from the minimum slot count (thousands of distinct bins)
+    // while cross-producer seals take their locks, a periodic
     // injected fault throws at bin tops and a tight ticket bound
     // keeps producers cycling through the backoff slow path. The
     // conservation ledger must balance exactly even so.
@@ -328,7 +328,6 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
     c.blockBytes = 1 << 14;
     c.groupCapacity = 4;
     c.hashBuckets = 16;
-    c.streamShards = 2;
     c.streamMaxPending = 32;
     c.streamSealThreshold = 4;
     c.onError = ErrorPolicy::ContinueAndCollect;
@@ -372,7 +371,7 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
 
 TEST(Chaos, ProducerLocalAdmissionKeepsItsInvariants)
 {
-    // Seeded rounds over chunked tickets and per-producer lanes: a
+    // Seeded rounds over chunked tickets and producer tables: a
     // random bound (off or tight), producer count, seal threshold,
     // group capacity and drain-worker count. In every round producer 0
     // forks a few threads and then idles on its reserved chunk until
@@ -462,15 +461,15 @@ TEST(Chaos, ProducerLocalAdmissionKeepsItsInvariants)
         }
         EXPECT_EQ(s.recoverySnapshot().admissionTimeouts, timeoutsBefore);
 
-        // Fork order, where an epoch is visible: the same shape
-        // appended straight into bins under a concurrent sealer.
-        const lsched::threads::lanecheck::LaneRound lanes =
-            lsched::threads::lanecheck::runLaneRound(
+        // Fork order, where the drain order shows it: the same shape
+        // with one drain worker and no bound.
+        const lsched::threads::ordercheck::OrderRound order =
+            lsched::threads::ordercheck::runOrderRound(
                 producers, 1 + static_cast<unsigned>(rng.nextBelow(8)),
-                perProducer, c.groupCapacity);
-        EXPECT_EQ(lanes.sealed, producers * perProducer);
-        EXPECT_EQ(lanes.outOfOrder, 0u);
-        EXPECT_EQ(lanes.notOnce, 0u);
+                perProducer, c.streamSealThreshold, c.groupCapacity);
+        EXPECT_EQ(order.executed, producers * perProducer);
+        EXPECT_EQ(order.outOfOrder, 0u);
+        EXPECT_EQ(order.notOnce, 0u);
     }
 }
 

@@ -21,8 +21,9 @@
 #include "obs/trace.hh"
 #include "support/error.hh"
 #include "support/failpoint.hh"
+#include "support/prng.hh"
 #include "threads/scheduler.hh"
-#include "stream_lane_check.hh"
+#include "stream_order_check.hh"
 
 namespace
 {
@@ -132,6 +133,10 @@ TEST(Stream, ConcurrentForkStressMatchesBatch)
     for (const StreamBinReport &bin : s.lastStreamBins())
         actual[{bin.coords.begin(), bin.coords.end()}] += bin.threads;
     EXPECT_EQ(actual, expected);
+    // Every producer forked into most bins in its own table; the
+    // report and the bin count still name each coordinate once.
+    EXPECT_EQ(s.lastStreamBins().size(), expected.size());
+    EXPECT_EQ(s.stats().binsCreated, expected.size());
 
     const StreamStats st = s.streamStats();
     EXPECT_EQ(st.forked, kTotal);
@@ -142,11 +147,11 @@ TEST(Stream, ConcurrentForkStressMatchesBatch)
 
 TEST(Stream, EightProducerAdmissionStress)
 {
-    // Tentpole stress for the lock-free admission path: eight
-    // producers hammer two shards whose tables start at the minimum
-    // slot count (so concurrent freeze-growth cycles are forced), a
-    // tight maxPending saturates the ticket gate, and a small seal
-    // threshold keeps groups recycling through the shared pool.
+    // Stress for the producer tables: eight producers each grow their
+    // own table from the minimum slot count while the others' seals
+    // take its lock, a tight maxPending saturates the ticket gate, and
+    // a small seal threshold keeps groups flowing back from the drain
+    // to the producers that carved them.
     constexpr unsigned kProducers = 8;
     constexpr unsigned kPerProducer = 3000;
     constexpr unsigned kTotal = kProducers * kPerProducer;
@@ -154,7 +159,6 @@ TEST(Stream, EightProducerAdmissionStress)
 
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 2;
     c.streamMaxPending = kBound;
     c.streamSealThreshold = 4;
     c.groupCapacity = 4;
@@ -424,23 +428,99 @@ TEST(Stream, ExitedProducerRefundsItsUnusedTickets)
     expectLedger(s, kForks + 1, ~std::uint64_t{0});
 }
 
+TEST(Stream, ForcedSealsTakeTheFullestOpenBin)
+{
+    // One producer at a 4096-thread bound over 512 bins, threshold 64:
+    // the open bins hold the whole backlog, so the gate's relief ladder
+    // force-seals. Sealing the fullest bin carries at least the mean
+    // open bin, bound / bins = 8 threads; sealing bins by position
+    // carried under 2.
+    constexpr std::uint64_t kForks = 262144;
+    constexpr std::uint64_t kBins = 512;
+    constexpr std::uint64_t kBlock = 1 << 16;
+    SchedulerConfig c;
+    c.dims = 1;
+    c.blockBytes = kBlock;
+    c.streamSealThreshold = 64;
+    c.streamMaxPending = 4096;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+    lsched::Prng rng(1);
+
+    s.streamBegin(1);
+    for (std::uint64_t i = 0; i < kForks; ++i) {
+        const Hint h = static_cast<Hint>(rng.nextBelow(kBins) * kBlock +
+                                         rng.nextBelow(kBlock));
+        s.fork(bump, &ran, nullptr, h, 0);
+    }
+    EXPECT_EQ(s.streamEnd(), kForks);
+    EXPECT_EQ(ran.load(), kForks);
+    const StreamStats st = s.streamStats();
+    ASSERT_GT(st.seals, 0u);
+    EXPECT_GE(st.forked / st.seals, c.streamMaxPending / kBins)
+        << st.seals << " seals for " << st.forked << " forks";
+    expectLedger(s, kForks, c.streamMaxPending);
+}
+
+TEST(Stream, GateHelpSealsAnotherProducersBins)
+{
+    // Producer B fills the backlog with threads no seal threshold will
+    // ever reach and parks. Producer A, held at the gate with nothing
+    // of its own open, must seal B's bins to make progress: it finishes
+    // within its retry budget instead of timing out.
+    constexpr std::uint64_t kBound = 256;
+    constexpr std::uint64_t kParked = 2 * kBound;
+    constexpr unsigned kForksOfA = 4000;
+    SchedulerConfig c = cfg();
+    c.streamMaxPending = kBound;
+    c.streamSealThreshold = 64;
+    c.streamAdmitRetries = 16;
+    LocalityScheduler s(c);
+    std::atomic<std::uint64_t> ran{0};
+
+    s.streamBegin(1);
+    std::atomic<bool> parked{false};
+    std::atomic<bool> release{false};
+    std::thread b([&] {
+        // Two threads per bin over 256 bins: far below the threshold.
+        for (std::uint64_t i = 0; i < kParked; ++i)
+            s.fork(bump, &ran, nullptr,
+                   static_cast<Hint>(1000 + i % 256) << 16, 0);
+        parked.store(true, std::memory_order_release);
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    while (!parked.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    std::thread a([&] {
+        for (unsigned i = 0; i < kForksOfA; ++i)
+            EXPECT_NO_THROW(s.fork(bump, &ran, nullptr, hintFor(0, i), 0));
+    });
+    a.join();
+    EXPECT_EQ(s.recoverySnapshot().admissionTimeouts, 0u);
+    EXPECT_EQ(s.streamEnd(), kParked + kForksOfA);
+    release.store(true, std::memory_order_release);
+    b.join();
+    EXPECT_EQ(ran.load(), kParked + kForksOfA);
+    expectLedger(s, kParked + kForksOfA, kBound);
+}
+
 TEST(Stream, EachProducerDrainsInForkOrderWithinEveryEpoch)
 {
-    // At the bin layer, where an epoch is visible: producers append to
-    // shared bins through their own lanes while a sealer keeps sealing,
-    // and every sealed chain (one bin epoch) must hold each producer's
-    // specs in fork order, each spec exactly once. Lane 0 is shared by
-    // producers 0 and 4, which must stay correct too.
-    const lanecheck::LaneRound round =
-        lanecheck::runLaneRound(/*producers=*/5, /*bins=*/6,
-                              /*perProducer=*/20000, /*capacity=*/8);
-    EXPECT_GT(round.chains, 1u);
-    EXPECT_EQ(round.sealed, 5u * 20000u);
+    // With one drain worker and no bound, chains run in seal order: five
+    // producers fork into six shared bins, and each producer's threads
+    // of one bin must run in its fork order, each exactly once.
+    const ordercheck::OrderRound round =
+        ordercheck::runOrderRound(/*producers=*/5, /*bins=*/6,
+                                  /*perProducer=*/20000, /*threshold=*/12,
+                                  /*capacity=*/8);
+    EXPECT_GT(round.seals, 1u);
+    EXPECT_EQ(round.executed, 5u * 20000u);
     EXPECT_EQ(round.outOfOrder, 0u);
     EXPECT_EQ(round.notOnce, 0u);
 
-    // End to end, the lanes change no bin's membership: it is what the
-    // batch path would have built.
+    // Under a bound, with two drain workers, the producer tables change
+    // no bin's membership: it is what the batch path would have built.
     constexpr unsigned kProducers = 3;
     constexpr unsigned kPerProducer = 6000;
     SchedulerConfig c = cfg();
@@ -529,6 +609,38 @@ TEST(Stream, SerialBackendDrainsInline)
     EXPECT_EQ(ran.load(), 500u);
     // No helpers existed; everything drained on this thread.
     EXPECT_EQ(s.stats().pool.threadsSpawned, 0u);
+}
+
+TEST(Stream, SerialBackendRunsForksNestedInTheFinalDrain)
+{
+    // Inline-only mode: the last sealed bins run in streamEnd()'s own
+    // drain, and a thread forked from there must run too.
+    struct Nest
+    {
+        LocalityScheduler *s;
+        std::atomic<std::uint64_t> ran{0};
+
+        static void
+        forkOne(void *self, void *)
+        {
+            auto *nest = static_cast<Nest *>(self);
+            nest->ran.fetch_add(1, std::memory_order_relaxed);
+            nest->s->fork(bump, &nest->ran, nullptr,
+                          static_cast<Hint>(5) << 16, 0);
+        }
+    };
+    SchedulerConfig c = cfg();
+    c.backend = BackendKind::Serial;
+    c.streamSealThreshold = 4;
+    LocalityScheduler s(c);
+    Nest nest{&s};
+
+    s.streamBegin();
+    for (unsigned i = 0; i < 10; ++i)
+        s.fork(&Nest::forkOne, &nest, nullptr, static_cast<Hint>(1) << 16, 0);
+    EXPECT_EQ(s.streamEnd(), 20u);
+    EXPECT_EQ(nest.ran.load(), 20u);
+    expectLedger(s, 20, ~std::uint64_t{0});
 }
 
 TEST(Stream, StreamThenBatchReusesTheScheduler)
@@ -628,25 +740,23 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
     if (!lsched::failpoint::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     namespace fp = lsched::failpoint;
-    // Regression for the grow() unwind: an OOM while allocating the
-    // doubled slot array must surface as a recoverable bad_alloc and
-    // leave the table live (slots thawed, grower flag released) — not
-    // leave every later probe spinning on frozen sentinels.
+    // An OOM in the bin growth of a producer's table must surface as
+    // a recoverable bad_alloc with the ticket refunded and the table
+    // live — not wedge the session.
     //
-    // Deterministic site arithmetic (one producer, one shard, 16
-    // slots): bin creations 1..12 each evaluate the probe-path
-    // "bintable.grow" site once, and the 12th publish crosses 3/4
-    // load, so the growth-path evaluation is hit 13.
+    // Deterministic site arithmetic (one producer table, 16 slots):
+    // every bin creation evaluates the "bintable.grow" site once, and
+    // the 12th creation is the one that crosses 3/4 load and grows the
+    // slot array, so hit 12 fails it.
     constexpr unsigned kTrigger = 12;
     constexpr unsigned kTotal = 40;
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 1;
     c.streamMaxPending = 0;
     LocalityScheduler s(c);
     Flags flags(kTotal);
     fp::disarmAll();
-    ASSERT_TRUE(fp::arm("bintable.grow", "hit=13"));
+    ASSERT_TRUE(fp::arm("bintable.grow", "hit=12"));
 
     const auto forkIndex = [&](unsigned i) {
         s.fork(&Flags::mark, &flags,
