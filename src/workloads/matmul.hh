@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "support/prng.hh"
@@ -103,28 +104,27 @@ transpose(const Matrix &a, Matrix &at, M &model)
 }
 
 /**
- * Dot product of x[0..n) and y[0..n): the one inner loop shared by
- * the Transposed kernel, the TiledTransposed edge blocks and every
- * Threaded thread body.
+ * Body of dotProduct(): x[0..n) . y[0..n) through @p model.
  *
  * A single accumulator makes each madd wait for the previous add, so
  * the loop runs at one FP-add latency per element. Sixteen independent
  * partial sums (sum u takes every k with k % 16 == u) break that chain,
- * and GCC turns them into packed SSE2 mulpd/addpd at -O2 without any
- * reassociation licence. The partial sums are combined in a fixed
- * pairwise tree and the n % 16 tail is added in order after it, so the
- * result depends only on x, y and n — never on the caller, the model
- * or the compiler's vectorization choices.
+ * and GCC turns them into packed mulpd/addpd (two doubles per
+ * instruction at the default x86-64 ISA, four under AVX2) at -O2
+ * without any reassociation licence. The partial sums are combined in
+ * a fixed pairwise tree and the n % 16 tail is added in order after
+ * it, so the result depends only on x, y and n — never on the caller,
+ * the model or the compiler's vectorization choices.
  *
  * Each element issues model.load(&x[k]) then model.load(&y[k]) for k
  * ascending, exactly as a one-accumulator loop would, so traced runs
  * see the same reference stream. Instruction charges stay with the
- * caller. Always inlined, so the loop's code placement is its caller's
- * (see dotProductThread).
+ * caller. Always inlined: into the caller for a traced model, into the
+ * two native instantiations below for NativeModel.
  */
 template <class M>
 [[gnu::always_inline]] inline double
-dotProduct(const double *x, const double *y, std::size_t n, M &model)
+dotProductBody(const double *x, const double *y, std::size_t n, M &model)
 {
     double s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
     double s8 = 0, s9 = 0, s10 = 0, s11 = 0, s12 = 0, s13 = 0, s14 = 0,
@@ -160,6 +160,78 @@ dotProduct(const double *x, const double *y, std::size_t n, M &model)
         sum += x[k] * y[k];
     }
     return sum;
+}
+
+namespace detail
+{
+
+/**
+ * The native dot product at the build's default ISA. Out of line and
+ * aligned to a cache line, so the loop sits at the same offset within
+ * a line whatever code precedes it: the native matmul's time moves
+ * with that offset (DESIGN.md §6).
+ */
+[[gnu::noinline, gnu::aligned(64)]] inline double
+dotProductBase(const double *x, const double *y, std::size_t n)
+{
+    NativeModel model;
+    return dotProductBody(x, y, n, model);
+}
+
+#if defined(__x86_64__)
+/**
+ * The same source built for AVX2: four doubles per vector instead of
+ * two. AVX2 only, never "fma" or "avx512f": either enables FMA, and
+ * GCC contracts the mul+add pairs into it (-ffp-contract=fast is C++'s
+ * default), which rounds once instead of twice and breaks bit identity
+ * with dotProductBase().
+ */
+[[gnu::target("avx2"), gnu::noinline, gnu::aligned(64)]] inline double
+dotProductAvx2(const double *x, const double *y, std::size_t n)
+{
+    NativeModel model;
+    return dotProductBody(x, y, n, model);
+}
+
+/** Whether this CPU runs AVX2. Safe before libgcc's own CPU probe. */
+inline bool
+cpuHasAvx2()
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
+
+/** Native dot products run dotProductAvx2(): decided once, at start-up. */
+inline const bool kDotProductAvx2 = cpuHasAvx2();
+#else
+inline constexpr bool kDotProductAvx2 = false;
+#endif
+
+} // namespace detail
+
+/**
+ * Dot product of x[0..n) and y[0..n): the one inner loop shared by
+ * the Transposed kernel, the TiledTransposed edge blocks and every
+ * Threaded thread body.
+ *
+ * For NativeModel it calls one of two out-of-line builds of
+ * dotProductBody(), AVX2 when the CPU has it and the default ISA
+ * otherwise; both return the same bits. Every other model inlines the
+ * body, so its reference stream and charges are the body's.
+ */
+template <class M>
+[[gnu::always_inline]] inline double
+dotProduct(const double *x, const double *y, std::size_t n, M &model)
+{
+    if constexpr (std::is_same_v<M, NativeModel>) {
+#if defined(__x86_64__)
+        if (detail::kDotProductAvx2)
+            return detail::dotProductAvx2(x, y, n);
+#endif
+        return detail::dotProductBase(x, y, n);
+    } else {
+        return dotProductBody(x, y, n, model);
+    }
 }
 
 /**
@@ -417,16 +489,9 @@ struct DotProductCtx
     M *model;
 };
 
-/**
- * Thread body: C[i,j] = dot(At[:,i], B[:,j]); arg2 packs (i, j).
- *
- * Aligned to a cache line, with dotProduct() inlined into it, so the
- * dot loop sits at the same offset within a line whatever code
- * precedes it: the native matmul's time moves with that offset
- * (DESIGN.md §6).
- */
+/** Thread body: C[i,j] = dot(At[:,i], B[:,j]); arg2 packs (i, j). */
 template <class M>
-[[gnu::aligned(64)]] void
+void
 dotProductThread(void *ctx_p, void *ij_p)
 {
     auto *ctx = static_cast<DotProductCtx<M> *>(ctx_p);

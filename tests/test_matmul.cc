@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -287,6 +288,65 @@ TEST(DotKernelAccuracy, WithinSummationBoundOfLongDouble)
                       bound)
                 << "n=" << n << " cancel=" << cancel;
         }
+    }
+}
+
+/** The bits of @p v, so EXPECT_EQ tells -0.0 from 0.0 and NaNs apart. */
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/**
+ * Native dot products go through dotProduct()'s dispatch to an
+ * out-of-line build of the kernel (AVX2 when the CPU has it); every
+ * other model inlines the kernel at the default ISA. Both must give
+ * the same bits at every tail length and at the matmul's own size.
+ */
+TEST(DotKernel, NativeDispatchBitIdenticalToModelPath)
+{
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 0; n <= 70; ++n)
+        sizes.push_back(n);
+    for (std::size_t n = 1023; n <= 1025; ++n)
+        sizes.push_back(n);
+    std::uint64_t seed = 100;
+    for (const std::size_t n : sizes) {
+        std::vector<double> x(n), y(n);
+        lsched::Prng prng(++seed);
+        for (std::size_t k = 0; k < n; ++k) {
+            x[k] = prng.nextDouble(-1.0, 1.0);
+            y[k] = prng.nextDouble(-1.0, 1.0);
+        }
+        NativeModel nm;
+        RecordingModel rm;
+        const double model_path = dotProduct(x.data(), y.data(), n, rm);
+        EXPECT_EQ(bitsOf(dotProduct(x.data(), y.data(), n, nm)),
+                  bitsOf(model_path))
+            << "n=" << n;
+        EXPECT_EQ(bitsOf(detail::dotProductBase(x.data(), y.data(), n)),
+                  bitsOf(model_path))
+            << "n=" << n;
+#if defined(__x86_64__)
+        if (detail::kDotProductAvx2) {
+            EXPECT_EQ(
+                bitsOf(detail::dotProductAvx2(x.data(), y.data(), n)),
+                bitsOf(model_path))
+                << "n=" << n;
+        }
+#endif
+        if (n == 0)
+            continue; // a Matrix has at least one row
+        Matrix at(n, 1), b(n, 1), c_native(1, 1), c_model(1, 1);
+        std::copy(x.begin(), x.end(), at.col(0));
+        std::copy(y.begin(), y.end(), b.col(0));
+        DotProductCtx<NativeModel> native_ctx{&at, &b, &c_native, &nm};
+        DotProductCtx<RecordingModel> model_ctx{&at, &b, &c_model, &rm};
+        dotProductThread<NativeModel>(&native_ctx, nullptr);
+        dotProductThread<RecordingModel>(&model_ctx, nullptr);
+        EXPECT_EQ(bitsOf(c_native(0, 0)), bitsOf(c_model(0, 0)))
+            << "n=" << n;
     }
 }
 
