@@ -587,13 +587,16 @@ class LocalityScheduler
             appendReady(bin);
     }
 
-    /** Zero the pending count, folding it into the forked total
-     *  (every site that drops or finishes the pending threads). */
+    /** Zero the pending count, folding it into the forked total, and
+     *  rewind the group pool (every site that drops or finishes the
+     *  pending threads: each has recycled every bin's groups, so all
+     *  of them are back on the free list). */
     void
     retirePending()
     {
         retiredForks_ += pendingThreads_;
         pendingThreads_ = 0;
+        pool_.rewind();
     }
 
     /** Publish every ready bin's cursor (run()/runParallel() entry). */

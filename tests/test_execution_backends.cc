@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "support/error.hh"
@@ -376,6 +377,113 @@ TEST(ExecutionBackends, ReconfigureKeepsSpawnCountersMonotone)
     }
     EXPECT_EQ(lastSpawned, 4u);
     EXPECT_EQ(pooledTours, 2u);
+}
+
+/** recordRun(), except that tag kThrowTag throws (a user fault). */
+constexpr std::uint32_t kThrowTag = 40;
+
+void
+recordOrThrow(void *arg, void *)
+{
+    if (static_cast<const TaggedArg *>(arg)->tag == kThrowTag)
+        throw std::runtime_error("user fault");
+    recordRun(arg, nullptr);
+}
+
+/** kChainedForks threads over kBlocks blocks: with groupCapacity 8,
+ *  every bin chains five groups. */
+constexpr std::uint32_t kChainedForks = 400;
+
+void
+forkChained(LocalityScheduler &s, ThreadFn fn, ForkLog &log,
+            std::vector<TaggedArg> &args)
+{
+    args.resize(kChainedForks);
+    for (std::uint32_t i = 0; i < kChainedForks; ++i) {
+        const std::uint32_t block = i % kBlocks;
+        args[i] = {&log, i, block};
+        s.fork(fn, &args[i], nullptr, static_cast<Hint>(block) << 13, 0);
+    }
+}
+
+TEST(GroupRewind, EveryRetirePathLeavesTheNextPassExact)
+{
+    // Every site that retires the pending threads rewinds the group
+    // pool, relinking all carved groups in carving order. Whichever
+    // site ran, the passes forked afterwards must run each thread
+    // exactly once, with executed + faults == forked.
+    enum class Path { Run, RunParallel, StopTour, DeadlineCollect, Clear };
+    const char *const names[] = {"run", "runParallel", "StopTour",
+                                 "deadline ContinueAndCollect", "clear"};
+    for (const Path path : {Path::Run, Path::RunParallel, Path::StopTour,
+                            Path::DeadlineCollect, Path::Clear}) {
+        const char *const name = names[static_cast<int>(path)];
+        if (path == Path::DeadlineCollect && !fp::kCompiled)
+            continue; // the wedged bin is a fail point
+        SchedulerConfig c = backendCfg(BackendKind::Pooled);
+        if (path == Path::StopTour)
+            c.onError = ErrorPolicy::StopTour;
+        if (path == Path::DeadlineCollect) {
+            c.onError = ErrorPolicy::ContinueAndCollect;
+            c.deadlineMillis = 50;
+        }
+        LocalityScheduler s(c);
+        fp::disarmAll();
+
+        ForkLog log(kChainedForks);
+        std::vector<TaggedArg> args;
+        forkChained(s, path == Path::StopTour ? recordOrThrow : recordRun,
+                    log, args);
+        switch (path) {
+        case Path::Run:
+            EXPECT_EQ(s.run(false), kChainedForks) << name;
+            break;
+        case Path::RunParallel:
+            EXPECT_EQ(s.runParallel(4, false), kChainedForks) << name;
+            break;
+        case Path::StopTour:
+            EXPECT_THROW(s.runParallel(4, false), std::runtime_error)
+                << name;
+            break;
+        case Path::DeadlineCollect: {
+            ASSERT_TRUE(fp::arm("sched.bin.execute", "stall=150"));
+            std::uint64_t executed = 0;
+            EXPECT_NO_THROW(executed = s.run(false)) << name;
+            fp::disarmAll();
+            EXPECT_LT(executed, kChainedForks) << name;
+            EXPECT_EQ(executed + s.lastFaultCount(), kChainedForks)
+                << name;
+            break;
+        }
+        case Path::Clear:
+            s.clear();
+            break;
+        }
+        EXPECT_EQ(s.pendingThreads(), 0u) << name;
+        for (std::uint32_t i = 0; i < kChainedForks; ++i)
+            ASSERT_LE(log.count[i].load(), 1u) << name << " fork " << i;
+
+        // Two passes: the first one allocates from the rewound free
+        // list, the second one from the list its own retire rewound.
+        for (int pass = 0; pass < 2; ++pass) {
+            const SchedulerStats before = s.stats();
+            ForkLog fresh(kChainedForks);
+            forkChained(s, recordRun, fresh, args);
+            EXPECT_EQ(s.runParallel(4, false), kChainedForks)
+                << name << " pass " << pass;
+            const SchedulerStats after = s.stats();
+            EXPECT_EQ(after.forkedThreads - before.forkedThreads,
+                      kChainedForks)
+                << name << " pass " << pass;
+            EXPECT_EQ((after.executedThreads - before.executedThreads) +
+                          (after.faultedThreads - before.faultedThreads),
+                      after.forkedThreads - before.forkedThreads)
+                << name << " pass " << pass;
+            for (std::uint32_t i = 0; i < kChainedForks; ++i)
+                ASSERT_EQ(fresh.count[i].load(), 1u)
+                    << name << " pass " << pass << " fork " << i;
+        }
+    }
 }
 
 } // namespace

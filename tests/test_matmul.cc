@@ -119,6 +119,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MatmulTest,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16,
                                            17, 24, 33, 48, 100));
 
+/** The bits of @p v, so EXPECT_EQ tells -0.0 from 0.0 and NaNs apart. */
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
 /** One model call, as RecordingModel logs it. */
 struct ModelEvent
 {
@@ -246,6 +253,65 @@ TEST_P(DotReferenceStream, TransposedKernelLoadsXThenYPerElement)
 INSTANTIATE_TEST_SUITE_P(Sizes, DotReferenceStream,
                          ::testing::Values(5, 32, 37));
 
+/** The sizes the transpose tests cover: a lone element, one tile
+ *  short, exact and over, and several tiles with a ragged edge. */
+const std::size_t kTransposeSizes[] = {1, 31, 32, 33, 100};
+
+/** The native transpose writes tiles in another loop order than a
+ *  modelled one; the copied values must be the same bits. */
+TEST(Transpose, NativeMatchesModelPathBitForBit)
+{
+    for (const std::size_t n : kTransposeSizes) {
+        Matrix a(n, n), at_native(n, n), at_model(n, n);
+        randomize(a, 40 + n);
+        NativeModel nm;
+        RecordingModel rm;
+        transpose(a, at_native, nm);
+        transpose(a, at_model, rm);
+        for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(bitsOf(at_native(i, j)), bitsOf(at_model(i, j)))
+                    << "n=" << n << " (" << i << "," << j << ")";
+                ASSERT_EQ(bitsOf(at_native(i, j)), bitsOf(a(j, i)))
+                    << "n=" << n << " (" << i << "," << j << ")";
+            }
+        }
+    }
+}
+
+/**
+ * A modelled transpose still references each 32 x 32 tile column by
+ * column (j outer, i inner; a load of a(i, j), then the store of
+ * at(j, i)), tiles in jj-then-ii order: the stream the simulated
+ * tables were measured with.
+ */
+TEST(Transpose, ModelStreamIsColumnOrderWithinEachTile)
+{
+    constexpr std::size_t kTile = 32;
+    for (const std::size_t n : kTransposeSizes) {
+        Matrix a(n, n), at(n, n);
+        RecordingModel rm;
+        transpose(a, at, rm);
+
+        std::vector<ModelEvent> want{{'K', kMatmulTransposeA, 0}};
+        for (std::size_t jj = 0; jj < n; jj += kTile) {
+            const std::size_t jend = std::min(jj + kTile, n);
+            for (std::size_t ii = 0; ii < n; ii += kTile) {
+                const std::size_t iend = std::min(ii + kTile, n);
+                for (std::size_t j = jj; j < jend; ++j) {
+                    for (std::size_t i = ii; i < iend; ++i) {
+                        want.push_back(loadOf(&a(i, j)));
+                        want.push_back(storeOf(&at(j, i)));
+                    }
+                }
+                want.push_back(
+                    {'I', 4 * (jend - jj) * (iend - ii) + 8, 0});
+            }
+        }
+        EXPECT_EQ(rm.log, want) << "n=" << n;
+    }
+}
+
 /**
  * The kernel's rounding error stays within n * 2^-52 * sum |x_k y_k|
  * of an extended-precision reference, whatever the cancellation: the
@@ -291,18 +357,12 @@ TEST(DotKernelAccuracy, WithinSummationBoundOfLongDouble)
     }
 }
 
-/** The bits of @p v, so EXPECT_EQ tells -0.0 from 0.0 and NaNs apart. */
-std::uint64_t
-bitsOf(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
 /**
  * Native dot products go through dotProduct()'s dispatch to an
- * out-of-line build of the kernel (AVX2 when the CPU has it); every
- * other model inlines the kernel at the default ISA. Both must give
- * the same bits at every tail length and at the matmul's own size.
+ * out-of-line build of the kernel (AVX-512 or AVX2 when the CPU has
+ * it); every other model inlines the kernel at the default ISA. Every
+ * build the CPU runs must give the same bits at every tail length and
+ * at the matmul's own size.
  */
 TEST(DotKernel, NativeDispatchBitIdenticalToModelPath)
 {
@@ -329,6 +389,12 @@ TEST(DotKernel, NativeDispatchBitIdenticalToModelPath)
                   bitsOf(model_path))
             << "n=" << n;
 #if defined(__x86_64__)
+        if (detail::kDotProductAvx512) {
+            EXPECT_EQ(
+                bitsOf(detail::dotProductAvx512(x.data(), y.data(), n)),
+                bitsOf(model_path))
+                << "n=" << n;
+        }
         if (detail::kDotProductAvx2) {
             EXPECT_EQ(
                 bitsOf(detail::dotProductAvx2(x.data(), y.data(), n)),
