@@ -118,6 +118,29 @@ struct alignas(64) Bin
         }
     }
 
+    /**
+     * Move @p from's whole group chain behind this bin's, with its
+     * thread count and append cursor, and leave @p from empty: the one
+     * concatenation a stream seal and forkParallel()'s merge share.
+     * Both tails' counts must be current (publishTail()); the groups
+     * keep their owner pools.
+     */
+    void
+    takeChain(Bin &from)
+    {
+        if (!from.groupsHead)
+            return;
+        if (groupsTail)
+            groupsTail->next = from.groupsHead;
+        else
+            groupsHead = from.groupsHead;
+        groupsTail = from.groupsTail;
+        forkNext = from.forkNext;
+        forkEnd = from.forkEnd;
+        threadCount += from.threadCount;
+        from.clearGroups();
+    }
+
     /** Detach all thread groups (they go back to the pool). */
     void
     clearGroups()

@@ -28,7 +28,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "obs/profile.hh"
@@ -189,9 +192,203 @@ tryBackendFromName(const std::string &name, BackendKind *out)
     return true;
 }
 
+WorkerPool &
+LocalityScheduler::workerPool()
+{
+    if (!workerPool_) {
+        workerPool_ = std::make_unique<WorkerPool>(
+            config_.pinWorkers,
+            topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
+    }
+    return *workerPool_;
+}
+
+namespace
+{
+
+/**
+ * One forkParallel() phase, shared by its workers: worker w runs the
+ * body over its contiguous range of k into shards[w].
+ */
+struct ForkPhase
+{
+    const std::function<void(std::size_t, ForkShard &)> *body;
+    ForkShard *shards;
+    std::size_t count;
+    unsigned workers;
+    /** Raised by the first throwing body; the others stop at their
+     *  next k. */
+    std::atomic<bool> stop{false};
+    std::mutex mutex;
+    std::exception_ptr first;
+
+    /** [begin, end) of worker @p w: [w·count/W, (w+1)·count/W),
+     *  computed without overflowing w·count. */
+    std::size_t
+    bound(std::size_t w) const
+    {
+        return count / workers * w + count % workers * w / workers;
+    }
+
+    /** The helper body (HelperJob::body); the caller runs worker 0. */
+    static void
+    main(unsigned worker, void *ctx)
+    {
+        auto &phase = *static_cast<ForkPhase *>(ctx);
+        detail::ParallelWorkerScope inWorker;
+        detail::t_inForkPhase = true;
+        const std::size_t end = phase.bound(worker + 1);
+        try {
+            for (std::size_t k = phase.bound(worker);
+                 k < end && !phase.stop.load(std::memory_order_relaxed);
+                 ++k)
+                (*phase.body)(k, phase.shards[worker]);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(phase.mutex);
+            if (!phase.first)
+                phase.first = std::current_exception();
+            phase.stop.store(true, std::memory_order_relaxed);
+        }
+        detail::t_inForkPhase = false;
+    }
+};
+
+} // namespace
+
+void
+LocalityScheduler::forkParallel(
+    unsigned workers, std::size_t count,
+    const std::function<void(std::size_t, ForkShard &)> &body)
+{
+    rejectInForkPhase("forkParallel()");
+    if (detail::inParallelWorker()) {
+        LSCHED_FATAL("forkParallel() from a thread running under "
+                     "runParallel() or a streaming drain helper is not "
+                     "supported: the ready list is not synchronized "
+                     "during a parallel tour.");
+    }
+    if (stream_) {
+        throw lsched::UsageError("forkParallel() during an active "
+                                 "stream; close it with streamEnd() "
+                                 "first");
+    }
+    if (running_)
+        throw lsched::UsageError("forkParallel() during run()");
+    if (workers == 0)
+        workers = std::thread::hardware_concurrency();
+    if (count < workers)
+        workers = static_cast<unsigned>(count);
+    // The shards fork as the inline fork() does, so they take only the
+    // placements it takes: a plain block hash (not adaptive, whose
+    // hot policy can be one), with no trace events to emit.
+    const bool inlinePlacement =
+        forkFast_ && placeHot_ == placement_.get() && !obs::traceOn();
+    if (workers <= 1 || config_.backend == BackendKind::Serial ||
+        governor_.degraded() || !inlinePlacement) {
+        ForkShard forward(this, nullptr, config_.dims, 0, 0, 0);
+        for (std::size_t k = 0; k < count; ++k)
+            body(k, forward);
+        return;
+    }
+
+    std::vector<ForkShard> shards;
+    shards.reserve(workers);
+    std::unique_ptr<detail::ForkShardState> *state = &forkShards_;
+    for (unsigned w = 0; w < workers; ++w, state = &(*state)->next) {
+        if (!*state) {
+            *state = std::make_unique<detail::ForkShardState>(
+                config_.dims, config_.hashBuckets, config_.groupCapacity);
+        }
+        shards.push_back(ForkShard(nullptr, state->get(), config_.dims,
+                                   forkShift_, surplusHint2_,
+                                   surplusHint3_));
+    }
+    ForkPhase phase;
+    phase.body = &body;
+    phase.shards = shards.data();
+    phase.count = count;
+    phase.workers = workers;
+    detail::HelperJob job;
+    job.body = &ForkPhase::main;
+    job.ctx = &phase;
+    job.workers = workers - 1;
+
+    WorkerPool &pool = workerPool();
+    running_ = true;
+    try {
+        pool.beginHelpers(job);
+    } catch (...) {
+        running_ = false;
+        throw;
+    }
+    ForkPhase::main(0, &phase);
+    pool.endHelpers();
+    running_ = false;
+
+    if (!phase.first) {
+        try {
+            mergeForkShards();
+        } catch (...) {
+            phase.first = std::current_exception();
+        }
+    }
+    if (phase.first) {
+        dropForkShards();
+        std::rethrow_exception(phase.first);
+    }
+}
+
+void
+LocalityScheduler::mergeForkShards()
+{
+    // Shards past this call's workers forked nothing: their lists are
+    // empty, as every call leaves them.
+    //
+    // Pass 1 creates every missing bin, in shard order and each
+    // shard's first-fork order: the order serial forks would have.
+    // The only step that can throw (a bin allocation); a throw leaves
+    // empty bins behind, but no thread.
+    for (detail::ForkShardState *shard = forkShards_.get(); shard;
+         shard = shard->next.get()) {
+        for (Bin *bin = shard->readyHead; bin; bin = bin->readyNext) {
+            table_.findOrCreateHashed(bin->coords.data(), bin->hashVal,
+                                      bin->superBin);
+        }
+    }
+    // Pass 2 moves each shard bin's chain behind its main bin's and
+    // puts main bins that were not ready at the ready tail.
+    for (detail::ForkShardState *shard = forkShards_.get(); shard;
+         shard = shard->next.get()) {
+        for (Bin *bin = shard->readyHead; bin;) {
+            Bin *next = bin->readyNext;
+            Bin *into = table_.findHashed(bin->coords.data(), bin->hashVal);
+            pendingThreads_ += bin->threadCount;
+            bin->publishTail();
+            into->publishTail();
+            into->takeChain(*bin);
+            bin->readyNext = nullptr;
+            bin->onReadyList = false;
+            if (!into->onReadyList)
+                appendReady(into);
+            bin = next;
+        }
+        shard->readyHead = nullptr;
+        shard->readyTail = nullptr;
+    }
+}
+
+void
+LocalityScheduler::dropForkShards() noexcept
+{
+    for (detail::ForkShardState *shard = forkShards_.get(); shard;
+         shard = shard->next.get())
+        dropReadyList(shard->readyHead, shard->readyTail);
+}
+
 std::uint64_t
 LocalityScheduler::runParallel(unsigned workers, bool keep)
 {
+    rejectInForkPhase("runParallel()");
     if (stream_) {
         throw lsched::UsageError("runParallel() during an active "
                                  "stream; close it with streamEnd() "
@@ -294,11 +491,6 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         currentBin[w].store(detail::kWorkerIdle,
                             std::memory_order_relaxed);
 
-    if (!workerPool_) {
-        workerPool_ = std::make_unique<WorkerPool>(
-            config_.pinWorkers,
-            topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
-    }
     detail::PoolJob job;
     job.tour = tour.data();
     job.bins = tour.size();
@@ -326,7 +518,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         mspec.currentBin = currentBin.get();
         mspec.workers = workers;
         detail::TourMonitor monitor(mspec);
-        workerPool_->runTour(job);
+        workerPool().runTour(job);
     }
     const std::uint64_t executed =
         job.executed.load(std::memory_order_relaxed);
@@ -337,7 +529,7 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
     const bool faultedStop = ctx.first != nullptr;
     if (!keep && !faultedStop) {
         for (Bin *bin : tour) {
-            pool_.recycleChain(bin->groupsHead);
+            GroupPool::recycleChain(bin->groupsHead);
             bin->clearGroups();
             bin->readyNext = nullptr;
             bin->onReadyList = false;

@@ -214,6 +214,14 @@ void noteCancelledBin(FaultCtx &ctx, std::uint32_t binId,
  */
 inline constinit thread_local bool t_inParallelWorker = false;
 
+/**
+ * True on a thread running a forkParallel() body (set together with
+ * t_inParallelWorker). There a body's scheduler call is a recoverable
+ * UsageError instead of a tour worker's fatal error: the phase catches
+ * it and rethrows it on the caller.
+ */
+inline constinit thread_local bool t_inForkPhase = false;
+
 /** Whether the calling thread is inside a ParallelWorkerScope. */
 inline bool
 inParallelWorker()

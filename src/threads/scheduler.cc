@@ -240,7 +240,39 @@ validated(SchedulerConfig config,
     return config;
 }
 
+/**
+ * The number of hints a three-hint fork passes on under @p dims: all
+ * three, or @p dims when fewer. A non-zero hint past dims would be
+ * silently ignored (it never reaches the block map), which is always
+ * a caller bug, so it is a UsageError. dims > 3: the block map
+ * zero-extends the missing trailing dimensions, per the paper's
+ * th_fork.
+ */
+unsigned
+checkedHintCount(unsigned dims, const Hint (&hints)[3])
+{
+    if (dims >= 3)
+        return 3;
+    for (unsigned d = dims; d < 3; ++d) {
+        if (hints[d] != 0) {
+            throw UsageError(lsched::detail::concatMessage(
+                "fork: hint ", d + 1, " is non-zero but the "
+                "scheduler has only ", dims,
+                " dimension(s); pass 0 or raise dims"));
+        }
+    }
+    return dims;
+}
+
 } // namespace
+
+void
+ForkShard::rejectFork(ThreadFn fn, Hint hint2, Hint hint3) const
+{
+    LSCHED_ASSERT(fn != nullptr, "fork of a null thread function");
+    const Hint hints[3] = {0, hint2, hint3};
+    checkedHintCount(dims_, hints);
+}
 
 LocalityScheduler::LocalityScheduler(const SchedulerConfig &config)
     : config_(validated(config, &topo_)),
@@ -286,6 +318,7 @@ LocalityScheduler::configure(const SchedulerConfig &config)
     retiredBins_ += table_.binCount();
     table_ = BinTable(config_.dims, config_.hashBuckets);
     pool_ = GroupPool(config_.groupCapacity);
+    forkShards_.reset();
     readyHead_ = nullptr;
     readyTail_ = nullptr;
     // Retire the worker pool so pool-affecting knobs (pinWorkers,
@@ -330,24 +363,9 @@ LocalityScheduler::forkTruncated(ThreadFn fn, void *arg1, void *arg2,
                                  Hint hint1, Hint hint2, Hint hint3)
 {
     const Hint hints[3] = {hint1, hint2, hint3};
-    unsigned n = 3;
-    if (config_.dims < 3) {
-        // Truncate explicitly: a non-zero hint beyond dims would be
-        // silently ignored (it never reaches the block map), which is
-        // always a caller bug — surface it.
-        for (unsigned d = config_.dims; d < 3; ++d) {
-            if (hints[d] != 0) {
-                throw UsageError(lsched::detail::concatMessage(
-                    "fork: hint ", d + 1, " is non-zero but the "
-                    "scheduler has only ", config_.dims,
-                    " dimension(s); pass 0 or raise dims"));
-            }
-        }
-        n = config_.dims;
-    }
-    // dims > 3: the block map zero-extends the missing trailing
-    // dimensions, per the paper's th_fork.
-    fork(fn, arg1, arg2, std::span<const Hint>(hints, n));
+    fork(fn, arg1, arg2,
+         std::span<const Hint>(hints, checkedHintCount(config_.dims,
+                                                       hints)));
 }
 
 void
@@ -356,6 +374,8 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
 {
     LSCHED_ASSERT(fn != nullptr, "fork of a null thread function");
     if (detail::inParallelWorker()) {
+        // A fork phase catches what its bodies throw.
+        rejectInForkPhase("fork()");
         // Checked via thread-local state *before* touching the ready
         // list: reading scheduler fields from a worker would itself be
         // the data race this diagnostic exists to prevent. fatal, not
@@ -398,9 +418,21 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
     }
 }
 
+void
+LocalityScheduler::rejectInForkPhase(const char *call)
+{
+    if (detail::t_inForkPhase) {
+        throw UsageError(lsched::detail::concatMessage(
+            call, " inside a forkParallel() body; fork through the "
+                  "body's ForkShard and run after forkParallel() "
+                  "returns"));
+    }
+}
+
 std::uint64_t
 LocalityScheduler::run(bool keep)
 {
+    rejectInForkPhase("run()");
     if (stream_) {
         // Recoverable misuse, unlike a recursive run(): a batch run
         // has no tour to walk while admission streams past it.
@@ -458,7 +490,7 @@ LocalityScheduler::run(bool keep)
                 prev = bin;
             }
             executed += detail::executeBin(bin, ctx, 0);
-            pool_.recycleChain(bin->groupsHead);
+            GroupPool::recycleChain(bin->groupsHead);
             bin->clearGroups();
             inFlight = nullptr;
         }
@@ -549,12 +581,7 @@ LocalityScheduler::streamBegin(unsigned workers)
                       ? workers
                       : std::max(1u,
                                  std::thread::hardware_concurrency());
-        if (!workerPool_) {
-            workerPool_ = std::make_unique<WorkerPool>(
-                config_.pinWorkers,
-                topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
-        }
-        pool = workerPool_.get();
+        pool = &workerPool();
     }
     lastFaults_.clear();
     lastFaultsTotal_ = 0;
@@ -661,23 +688,29 @@ LocalityScheduler::runStream(
 }
 
 void
-LocalityScheduler::abandonRun(Bin *inFlight) noexcept
+LocalityScheduler::dropReadyList(Bin *&head, Bin *&tail) noexcept
 {
-    if (inFlight && !inFlight->onReadyList) {
-        pool_.recycleChain(inFlight->groupsHead);
-        inFlight->clearGroups();
-        inFlight->readyNext = nullptr;
-    }
-    for (Bin *bin = readyHead_; bin;) {
+    for (Bin *bin = head; bin;) {
         Bin *next = bin->readyNext;
-        pool_.recycleChain(bin->groupsHead);
+        GroupPool::recycleChain(bin->groupsHead);
         bin->clearGroups();
         bin->readyNext = nullptr;
         bin->onReadyList = false;
         bin = next;
     }
-    readyHead_ = nullptr;
-    readyTail_ = nullptr;
+    head = nullptr;
+    tail = nullptr;
+}
+
+void
+LocalityScheduler::abandonRun(Bin *inFlight) noexcept
+{
+    if (inFlight && !inFlight->onReadyList) {
+        GroupPool::recycleChain(inFlight->groupsHead);
+        inFlight->clearGroups();
+        inFlight->readyNext = nullptr;
+    }
+    dropReadyList(readyHead_, readyTail_);
     retirePending();
     running_ = false;
     nestedForkOk_ = false;
@@ -688,16 +721,7 @@ LocalityScheduler::clear()
 {
     if (running_)
         throw UsageError("clear() during run()");
-    for (Bin *bin = readyHead_; bin;) {
-        Bin *next = bin->readyNext;
-        pool_.recycleChain(bin->groupsHead);
-        bin->clearGroups();
-        bin->readyNext = nullptr;
-        bin->onReadyList = false;
-        bin = next;
-    }
-    readyHead_ = nullptr;
-    readyTail_ = nullptr;
+    dropReadyList(readyHead_, readyTail_);
     retirePending();
 }
 
@@ -708,6 +732,25 @@ LocalityScheduler::readyBins() const
     for (Bin *bin = readyHead_; bin; bin = bin->readyNext)
         bins.push_back(bin);
     return bins;
+}
+
+std::vector<LocalityScheduler::ReadyBin>
+LocalityScheduler::readyList() const
+{
+    std::vector<ReadyBin> bins;
+    for (const Bin *bin = readyHead_; bin; bin = bin->readyNext)
+        bins.push_back({bin->id, bin->coords, bin->threadCount});
+    return bins;
+}
+
+std::vector<std::size_t>
+LocalityScheduler::forkShardSlabs() const
+{
+    std::vector<std::size_t> slabs;
+    for (const detail::ForkShardState *shard = forkShards_.get(); shard;
+         shard = shard->next.get())
+        slabs.push_back(shard->pool.slabCount());
+    return slabs;
 }
 
 std::vector<std::uint64_t>

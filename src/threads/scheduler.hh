@@ -302,6 +302,87 @@ struct SchedulerStats
     TopologySnapshot topology;
 };
 
+class LocalityScheduler;
+
+namespace detail
+{
+
+/**
+ * One worker's private fork target in LocalityScheduler::forkParallel():
+ * a batch BinTable and GroupPool the scheduler keeps between calls,
+ * and the bins the current call forked into, linked through their
+ * ready links in first-fork order (the order the merge visits them).
+ */
+struct ForkShardState
+{
+    ForkShardState(unsigned dims, std::size_t buckets,
+                   std::uint32_t groupCapacity)
+        : table(dims, buckets), pool(groupCapacity)
+    {
+    }
+
+    /** Link @p bin at the shard's ready tail (its first fork here). */
+    void
+    link(Bin *bin)
+    {
+        bin->readyNext = nullptr;
+        bin->onReadyList = true;
+        if (readyTail)
+            readyTail->readyNext = bin;
+        else
+            readyHead = bin;
+        readyTail = bin;
+    }
+
+    BinTable table;
+    GroupPool pool;
+    Bin *readyHead = nullptr;
+    Bin *readyTail = nullptr;
+    /** The next worker's shard. */
+    std::unique_ptr<ForkShardState> next;
+};
+
+} // namespace detail
+
+/**
+ * What a LocalityScheduler::forkParallel() body forks through. In the
+ * parallel phase it is one worker's shard: fork() is the inline batch
+ * fork's find-bin + cursor append, into the worker's own table. In
+ * the serial fallback it forwards to LocalityScheduler::fork().
+ */
+class ForkShard
+{
+  public:
+    /** Schedule a thread, as LocalityScheduler::fork() does. */
+    [[gnu::always_inline]] void fork(ThreadFn fn, void *arg1, void *arg2,
+                                     Hint hint1 = 0, Hint hint2 = 0,
+                                     Hint hint3 = 0);
+
+  private:
+    friend class LocalityScheduler;
+
+    ForkShard(LocalityScheduler *serial, detail::ForkShardState *state,
+              unsigned dims, unsigned shift, Hint surplusHint2,
+              Hint surplusHint3)
+        : serial_(serial), state_(state), dims_(dims), shift_(shift),
+          surplusHint2_(surplusHint2), surplusHint3_(surplusHint3)
+    {
+    }
+
+    /** A null function or a non-zero surplus hint: what fork() does
+     *  with them (a failed assertion, a UsageError). */
+    [[gnu::noinline]] void rejectFork(ThreadFn fn, Hint hint2,
+                                      Hint hint3) const;
+
+    /** Non-null in the serial fallback: fork() forwards here. */
+    LocalityScheduler *serial_;
+    detail::ForkShardState *state_;
+    unsigned dims_;
+    unsigned shift_;
+    Hint surplusHint2_;
+    Hint surplusHint3_;
+};
+
 /** The locality-scheduling thread package. */
 class LocalityScheduler
 {
@@ -391,6 +472,38 @@ class LocalityScheduler
      * threads.
      */
     std::uint64_t run(bool keep = false);
+
+    /**
+     * Fork phase on the pool: call @p body(k, shard) for every k in
+     * [0, count) and leave exactly the schedule the serial loop
+     * `for k: body(k, shard)` with shard.fork() = fork() builds — the
+     * same bins, bin ids, ready order, per-bin thread order and counts
+     * (DESIGN.md §9). Worker w of W = min(@p workers, count) runs the
+     * contiguous range [w·count/W, (w+1)·count/W) and forks through
+     * its shard into its own batch table; after the join the caller
+     * merges the shards in worker order. Whatever else a body does
+     * runs in parallel, so bodies must not depend on each other.
+     * @p workers == 0 picks hardware_concurrency.
+     *
+     * The serial loop itself runs, on the caller, with one worker,
+     * the Serial backend, a degraded overload governor, tracing on,
+     * or a placement the inline fork() does not take (RoundRobin,
+     * adaptive, hierarchical, symmetric hints, dims > 3). A body that
+     * throws there leaves the threads forked before it pending.
+     *
+     * In the parallel phase, a body's fork(), run(), runParallel(),
+     * forkParallel(), configure() and clear() on this scheduler throw
+     * UsageError. The first exception from any body stops the other
+     * workers at their next k and is rethrown once on the caller after
+     * the join, with every shard's threads dropped: the pending
+     * threads and the ready list are as before the call.
+     *
+     * Throws UsageError during a stream or a run. Implemented in
+     * execution.cc.
+     */
+    void forkParallel(
+        unsigned workers, std::size_t count,
+        const std::function<void(std::size_t, ForkShard &)> &body);
 
     /**
      * SMP extension (paper Section 7 notes the idea "can be extended
@@ -483,6 +596,20 @@ class LocalityScheduler
     /** Per-bin thread counts in ready order (for tests/reports). */
     std::vector<std::uint64_t> binOccupancy() const;
 
+    /** One ready bin as readyList() reports it. */
+    struct ReadyBin
+    {
+        std::uint32_t id = 0;
+        BlockCoords coords{};
+        std::uint64_t threads = 0;
+
+        bool operator==(const ReadyBin &) const = default;
+    };
+
+    /** The ready list: each bin's id, coordinates and thread count,
+     *  in tour order (for tests/reports). */
+    std::vector<ReadyBin> readyList() const;
+
     /**
      * Faults contained during the most recent run()/runParallel()
      * (at most FaultCtx::kMaxRecordedFaults retained in detail).
@@ -494,6 +621,10 @@ class LocalityScheduler
 
     /** Total faults in the most recent run, including past the cap. */
     std::uint64_t lastFaultCount() const { return lastFaultsTotal_; }
+
+    /** Slabs each forkParallel() worker shard's group pool has
+     *  carved, by worker (tests: flat across warm calls). */
+    std::vector<std::size_t> forkShardSlabs() const;
 
     /**
      * Lifetime worker-pool statistics, including pools already retired
@@ -588,16 +719,38 @@ class LocalityScheduler
     }
 
     /** Zero the pending count, folding it into the forked total, and
-     *  rewind the group pool (every site that drops or finishes the
-     *  pending threads: each has recycled every bin's groups, so all
-     *  of them are back on the free list). */
+     *  rewind the group pools, the fork shards' too (every site that
+     *  drops or finishes the pending threads: each has recycled every
+     *  bin's groups, so all of them are back on their free lists). */
     void
     retirePending()
     {
         retiredForks_ += pendingThreads_;
         pendingThreads_ = 0;
         pool_.rewind();
+        for (detail::ForkShardState *shard = forkShards_.get(); shard;
+             shard = shard->next.get())
+            shard->pool.rewind();
     }
+
+    /** The persistent worker pool, created at its first use. */
+    WorkerPool &workerPool();
+
+    /** Throw UsageError naming @p call when the calling thread runs a
+     *  forkParallel() body. */
+    static void rejectInForkPhase(const char *call);
+
+    /** forkParallel()'s merge: every bin the shards forked into, in
+     *  worker order, joins the main table and ready list. */
+    void mergeForkShards();
+
+    /** Recycle every shard bin's chain and empty the shard ready
+     *  lists (a failed fork phase). */
+    void dropForkShards() noexcept;
+
+    /** Return the groups of every bin on the list [@p head, @p tail]
+     *  to their pools, unlink the bins and empty the list. */
+    static void dropReadyList(Bin *&head, Bin *&tail) noexcept;
 
     /** Publish every ready bin's cursor (run()/runParallel() entry). */
     void publishReadyTails();
@@ -649,6 +802,12 @@ class LocalityScheduler
     Hint surplusHint3_ = 0;
     BinTable table_;
     GroupPool pool_;
+    /** forkParallel()'s per-worker shards, worker 0's first, linked
+     *  through ForkShardState::next; kept between calls so their
+     *  pools stop carving once warm. One pointer, not a vector: a
+     *  larger scheduler object moved where the C heap placed later
+     *  allocations, and with it perfbench stream_admit's peak RSS. */
+    std::unique_ptr<detail::ForkShardState> forkShards_;
     /** Persistent parallel workers; created at first runParallel(). */
     std::unique_ptr<WorkerPool> workerPool_;
     /** Stats of pools retired by reconfiguration. */
@@ -694,6 +853,29 @@ class LocalityScheduler
      *  config_.overloadEpochs > 0. */
     OverloadGovernor governor_;
 };
+
+inline void
+ForkShard::fork(ThreadFn fn, void *arg1, void *arg2, Hint hint1,
+                Hint hint2, Hint hint3)
+{
+    if (serial_) {
+        serial_->fork(fn, arg1, arg2, hint1, hint2, hint3);
+        return;
+    }
+    if ((fn == nullptr) |
+        (((hint2 & surplusHint2_) | (hint3 & surplusHint3_)) != 0))
+        [[unlikely]]
+        rejectFork(fn, hint2, hint3);
+    const std::uint64_t coords[3] = {hint1 >> shift_, hint2 >> shift_,
+                                     hint3 >> shift_};
+    Bin *bin = state_->table
+                   .findOrCreateHashed(coords, hashCoords(coords, 3),
+                                       kNoSuperBin)
+                   .first;
+    bin->append(state_->pool, fn, arg1, arg2);
+    if (!bin->onReadyList) [[unlikely]]
+        state_->link(bin);
+}
 
 namespace detail
 {

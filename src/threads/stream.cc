@@ -165,7 +165,8 @@ StreamSession::StreamSession(const SchedulerConfig &config,
         job_.body = &StreamSession::drainMain;
         job_.ctx = this;
         job_.workers = std::max(1u, drainWorkers);
-        pool_->beginStream(job_);
+        job_.countsAsTour = true;
+        pool_->beginHelpers(job_);
         helpersRunning_ = true;
     }
     {
@@ -452,7 +453,8 @@ StreamSession::seal(const std::uint64_t *coords, std::uint64_t h,
                     detail::StreamProducer *self)
 {
     detail::SealedBin item;
-    ThreadGroup *tail = nullptr;
+    // Collects the producers' chains in producer order.
+    Bin chain;
     bool queued = false;
     // Hand over hand: the next table's bin is locked before the last
     // one is released, and the push happens under the last. Two seals
@@ -475,25 +477,23 @@ StreamSession::seal(const std::uint64_t *coords, std::uint64_t h,
             held->lock.unlock();
         held = bin;
         if (bin->threadCount) {
-            if (!item.groups) {
+            if (!chain.groupsHead) {
                 // The first chain's bin leads the seal: it carries the
                 // epoch count and names the work item.
                 ++bin->sealEpochs;
                 item.binId = bin->id;
                 item.superBin = bin->superBin;
-                item.groups = bin->groupsHead;
-            } else {
-                tail->next = bin->groupsHead;
             }
-            tail = bin->groupsTail;
-            item.threads += bin->threadCount;
             bin->sealedThreads += bin->threadCount;
-            bin->clearGroups();
+            // The producer's fork keeps its tail count current.
+            chain.takeChain(*bin);
         }
         // Each seal of these coordinates was led by exactly one bin,
         // so the sum is this seal's 1-based epoch.
         item.epoch += bin->sealEpochs;
     }
+    item.groups = chain.groupsHead;
+    item.threads = chain.threadCount;
     if (item.groups)
         queued = queue_.tryPush(item);
     if (held)
@@ -872,7 +872,7 @@ StreamSession::finish()
 
     queue_.finish();
     if (helpersRunning_) {
-        pool_->endStream();
+        pool_->endHelpers();
         helpersRunning_ = false;
     }
     // Inline-only mode (no pool): the caller drains the whole tail as

@@ -59,7 +59,7 @@
  * Draining is the third execution mode next to serial and pooled
  * tours: there is no tour to partition — work arrives
  * incrementally — so the pool's helpers loop on the sealed queue
- * (WorkerPool::beginStream) and every chain still runs through THE
+ * (WorkerPool::beginHelpers) and every chain still runs through THE
  * one executeBin() routine (bin_exec.hh), keeping ErrorPolicy
  * containment, tracing, and dwell metrics identical to batch runs.
  */
@@ -594,7 +594,7 @@ class StreamSession
     std::atomic<std::uint64_t> inlineDrains_{0};
 
     WorkerPool *pool_;
-    detail::StreamJob job_;
+    detail::HelperJob job_;
     bool helpersRunning_ = false;
 
     std::vector<StreamBinReport> bins_;

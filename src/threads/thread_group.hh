@@ -60,7 +60,7 @@ struct ThreadGroup
  * recycled groups come off an intrusive free list in constant time,
  * in carving order again after a rewind().
  *
- * One thread owns the pool (allocate, recycleChain). A pool built
+ * One thread owns the pool (allocate, recycleChain, rewind). A pool built
  * with a return stack also takes groups back from other threads
  * through giveBack(): a stream drain returns a sealed chain's groups
  * to the producers that carved them this way. The stack is a
@@ -105,17 +105,23 @@ class GroupPool
         return g;
     }
 
-    /** Return a whole bin chain of groups to the free list. */
-    void
+    /**
+     * Return a whole bin chain of groups to the free lists of the
+     * pools that carved them (ThreadGroup::owner): a batch bin's chain
+     * may hold groups of several pools once forkParallel() merged
+     * worker shards into it. The caller must own every pool involved.
+     */
+    static void
     recycleChain(ThreadGroup *head)
     {
         while (head) {
             ThreadGroup *next = head->next;
+            GroupPool &owner = *head->owner;
             head->count = 0;
-            head->next = free_;
-            free_ = head;
+            head->next = owner.free_;
+            owner.free_ = head;
+            ++owner.recycled_;
             head = next;
-            ++recycled_;
         }
     }
 

@@ -218,7 +218,7 @@ WorkerPool::runTour(detail::PoolJob &job)
             std::lock_guard<std::mutex> lock(mutex_);
             job_ = &job;
             tourWorkers_ = job.workers;
-            streamActive_ = false;
+            helperPhase_ = false;
             ++epoch_;
             active_ = job.workers - 1;
         }
@@ -256,15 +256,15 @@ WorkerPool::runTour(detail::PoolJob &job)
 }
 
 void
-WorkerPool::beginStream(detail::StreamJob &job)
+WorkerPool::beginHelpers(detail::HelperJob &job)
 {
-    LSCHED_ASSERT(job.workers >= 1, "stream with zero drain workers");
-    ensureWorkers(job.workers + 1); // job.workers helpers; 0 = producers
+    LSCHED_ASSERT(job.workers >= 1, "helper phase with zero workers");
+    ensureWorkers(job.workers + 1); // job.workers helpers; 0 = caller
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        streamJob_ = &job;
-        streamWorkers_ = job.workers;
-        streamActive_ = true;
+        helperJob_ = &job;
+        helperWorkers_ = job.workers;
+        helperPhase_ = true;
         ++epoch_;
         active_ = job.workers;
     }
@@ -272,19 +272,22 @@ WorkerPool::beginStream(detail::StreamJob &job)
 }
 
 void
-WorkerPool::endStream()
+WorkerPool::endHelpers()
 {
+    bool tour = false;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         doneCv_.wait(lock, [&] { return active_ == 0; });
-        // streamActive_ deliberately stays true (see the member
+        // helperPhase_ deliberately stays true (see the member
         // comment); the wait above just proved every participant is
-        // past the body, and non-participants never deref streamJob_,
+        // past the body, and non-participants never deref helperJob_,
         // so clearing the pointer is safe even though the job itself
-        // dies with the stream session.
-        streamJob_ = nullptr;
+        // dies with its owner.
+        tour = helperJob_->countsAsTour;
+        helperJob_ = nullptr;
     }
-    tours_.fetch_add(1, std::memory_order_relaxed);
+    if (tour)
+        tours_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -326,14 +329,14 @@ WorkerPool::helperMain(unsigned helperIndex, std::uint64_t startEpoch)
         if (shutdown_)
             return;
         seen = epoch_;
-        if (streamActive_) {
-            // Streaming epoch. Same discipline as the tour branch
-            // below: participation comes from streamWorkers_ under
-            // mutex_, and only participants — whom endStream waits
-            // for via active_ — may deref streamJob_.
-            if (id > streamWorkers_)
+        if (helperPhase_) {
+            // Helper phase. Same discipline as the tour branch below:
+            // participation comes from helperWorkers_ under mutex_,
+            // and only participants — whom endHelpers waits for via
+            // active_ — may deref helperJob_.
+            if (id > helperWorkers_)
                 continue;
-            detail::StreamJob &job = *streamJob_;
+            detail::HelperJob &job = *helperJob_;
             lock.unlock();
             job.body(id, job.ctx);
             lock.lock();

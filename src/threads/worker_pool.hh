@@ -221,23 +221,26 @@ struct PoolJob
 };
 
 /**
- * One streaming drain handed to the pool (beginStream/endStream):
- * each participating helper runs @p body once, and the body is
- * expected to loop popping sealed bins until the stream's queue
- * finishes. Unlike a PoolJob this has no tour — the work arrives
- * incrementally from the producers.
+ * A helper phase handed to the pool (beginHelpers/endHelpers): each
+ * participating helper runs @p body once, to completion. A stream's
+ * drain loops popping sealed bins until the stream's queue finishes;
+ * a forkParallel() phase forks one worker's range of the caller's
+ * loop. Unlike a PoolJob there is no tour to partition.
  */
-struct StreamJob
+struct HelperJob
 {
     /**
-     * Drain loop, run to completion by each participating helper.
-     * @p worker is the pool worker id, 1..workers — id 0 is reserved
-     * for producers draining inline under backpressure.
+     * Run by each participating helper. @p worker is the pool worker
+     * id, 1..workers — id 0 stays with the caller (a producer
+     * draining inline, the fork phase's first range).
      */
     void (*body)(unsigned worker, void *ctx) = nullptr;
     void *ctx = nullptr;
-    /** Helper threads draining the stream (>= 1). */
+    /** Helper threads taking part (>= 1). */
     unsigned workers = 1;
+    /** Count the phase in WorkerPoolStats::tours (a stream is one; a
+     *  fork phase is not). */
+    bool countsAsTour = false;
 };
 
 } // namespace detail
@@ -282,18 +285,18 @@ class WorkerPool
     void runTour(detail::PoolJob &job);
 
     /**
-     * Wake job.workers helpers and set them looping job.body — the
-     * streaming drain. The caller does *not* participate (it returns
-     * immediately to keep producing); helpers run until the body
-     * returns, which the stream session arranges by finishing its
-     * sealed-bin queue. @p job must stay alive until endStream()
-     * returns. No tour may run between beginStream and endStream
-     * (the scheduler's running_ flag already enforces this).
+     * Wake job.workers helpers (ids 1..job.workers) and set each
+     * running job.body, spawning missing helpers on first use. The
+     * caller does *not* participate: it returns immediately, to keep
+     * producing (a stream) or to run worker 0's share itself (a fork
+     * phase). @p job must stay alive until endHelpers() returns. No
+     * tour may run between beginHelpers and endHelpers (the
+     * scheduler's running_ flag already enforces this).
      */
-    void beginStream(detail::StreamJob &job);
+    void beginHelpers(detail::HelperJob &job);
 
-    /** Wait for every stream helper to finish the drain body. */
-    void endStream();
+    /** Wait for every helper of the phase to finish its body. */
+    void endHelpers();
 
     /** Lifetime statistics. */
     WorkerPoolStats stats() const;
@@ -335,18 +338,19 @@ class WorkerPool
      *  participating (the active_ handshake keeps it alive for exactly
      *  those helpers). */
     unsigned tourWorkers_ = 0;
-    /** Current stream, under mutex_; same deref discipline as job_. */
-    detail::StreamJob *streamJob_ = nullptr;
-    /** Stream width, under mutex_ — the streaming tourWorkers_. */
-    unsigned streamWorkers_ = 0;
+    /** Current helper phase, under mutex_; same deref discipline as
+     *  job_. */
+    detail::HelperJob *helperJob_ = nullptr;
+    /** Helper phase width, under mutex_ — the phase's tourWorkers_. */
+    unsigned helperWorkers_ = 0;
     /**
-     * True from beginStream until the *next tour's* epoch bump — not
-     * endStream — so a helper that parked before the stream and wakes
+     * True from beginHelpers until the *next tour's* epoch bump — not
+     * endHelpers — so a helper that parked before the phase and wakes
      * after it cannot fall into the tour branch and test the stale
-     * pre-stream tourWorkers_ (the shrinking-tour use-after-free,
-     * streaming edition).
+     * pre-phase tourWorkers_ (the shrinking-tour use-after-free,
+     * helper-phase edition).
      */
-    bool streamActive_ = false;
+    bool helperPhase_ = false;
     std::uint64_t epoch_ = 0;        ///< bumped per tour, under mutex_
     unsigned active_ = 0;            ///< helpers still in the tour
     bool shutdown_ = false;

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/prng.hh"
@@ -75,6 +76,23 @@ zeroMatrix(Matrix &c, M &model)
     }
 }
 
+/** Side of transpose()'s square tiles. */
+constexpr std::size_t kTransposeTile = 32;
+
+/**
+ * at(j, i) = a(i, j) for i in [i0, i1), j in [j0, j1): one tile of
+ * the native transpose, rows of @p a outer, so each column of @p at
+ * is written contiguously.
+ */
+[[gnu::always_inline]] inline void
+transposeTileNative(const Matrix &a, Matrix &at, std::size_t i0,
+                    std::size_t i1, std::size_t j0, std::size_t j1)
+{
+    for (std::size_t i = i0; i < i1; ++i)
+        for (std::size_t j = j0; j < j1; ++j)
+            at(j, i) = a(i, j);
+}
+
 /**
  * Transpose @p a into @p at, charging loads and stores. Blocked
  * (32 x 32 tiles) so the strided side of the transpose reuses every
@@ -93,15 +111,13 @@ transpose(const Matrix &a, Matrix &at, M &model)
 {
     model.enterKernel(kMatmulTransposeA);
     const std::size_t n = a.rows();
-    constexpr std::size_t kTile = 32;
+    constexpr std::size_t kTile = kTransposeTile;
     for (std::size_t jj = 0; jj < a.cols(); jj += kTile) {
         const std::size_t jend = std::min(jj + kTile, a.cols());
         for (std::size_t ii = 0; ii < n; ii += kTile) {
             const std::size_t iend = std::min(ii + kTile, n);
             if constexpr (std::is_same_v<M, NativeModel>) {
-                for (std::size_t i = ii; i < iend; ++i)
-                    for (std::size_t j = jj; j < jend; ++j)
-                        at(j, i) = a(i, j);
+                transposeTileNative(a, at, ii, iend, jj, jend);
             } else {
                 for (std::size_t j = jj; j < jend; ++j) {
                     for (std::size_t i = ii; i < iend; ++i) {
@@ -550,6 +566,66 @@ dotProductThread(void *ctx_p, void *ij_p)
 }
 
 /**
+ * Rows [i0, i1) of @p a into columns [i0, i1) of @p at, by the native
+ * transpose()'s tile loop restricted to one row stripe.
+ */
+inline void
+transposeRowsNative(const Matrix &a, Matrix &at, std::size_t i0,
+                    std::size_t i1)
+{
+    for (std::size_t jj = 0; jj < a.cols(); jj += kTransposeTile)
+        transposeTileNative(a, at, i0, i1, jj,
+                            std::min(jj + kTransposeTile, a.cols()));
+}
+
+/**
+ * matmulThreaded() natively on @p workers > 1 pool workers: every
+ * phase but the two allocations runs on the pool. One
+ * forkParallel() call transposes A by 32-row stripes and forks each
+ * stripe's dot products in the serial loop's order (i-major), so the
+ * schedule is the serial one; runParallel() runs it; a second
+ * forkParallel() call, forking nothing, runs the restore transpose by
+ * column stripes of its result.
+ */
+inline void
+matmulThreadedPooled(const Matrix &a, const Matrix &b, Matrix &c,
+                     threads::LocalityScheduler &scheduler,
+                     NativeModel &model, unsigned workers)
+{
+    const std::size_t n = a.rows();
+    const std::size_t stripes = (n + kTransposeTile - 1) / kTransposeTile;
+    const auto stripe = [n](std::size_t k) {
+        return std::pair{k * kTransposeTile,
+                         std::min((k + 1) * kTransposeTile, n)};
+    };
+    Matrix at(n, n);
+    DotProductCtx<NativeModel> ctx{&at, &b, &c, &model};
+    scheduler.forkParallel(
+        workers, stripes,
+        [&](std::size_t k, threads::ForkShard &shard) {
+            const auto [i0, i1] = stripe(k);
+            transposeRowsNative(a, at, i0, i1);
+            for (std::size_t i = i0; i < i1; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    const auto packed =
+                        reinterpret_cast<void *>((i << 32) | j);
+                    shard.fork(&dotProductThread<NativeModel>, &ctx,
+                               packed, threads::hintOf(at.col(i)),
+                               threads::hintOf(b.col(j)));
+                }
+            }
+        });
+    scheduler.runParallel(workers, false);
+
+    Matrix dummy(n, n);
+    scheduler.forkParallel(workers, stripes,
+                           [&](std::size_t k, threads::ForkShard &) {
+                               const auto [i0, i1] = stripe(k);
+                               transposeRowsNative(at, dummy, i0, i1);
+                           });
+}
+
+/**
  * The paper's threaded multiply (Sections 2.1, 4.2): one thread per
  * dot product, forked with the base addresses of the two columns it
  * reads as hints, then run in bin order by @p scheduler. Includes
@@ -558,7 +634,8 @@ dotProductThread(void *ctx_p, void *ij_p)
  * With @p workers > 1 the bin tour is distributed over that many OS
  * threads (Section 7's SMP extension). The model must then be
  * thread-safe: NativeModel is (it is stateless); SimModel is not, so
- * simulated runs must keep workers == 1.
+ * simulated runs must keep workers == 1. Natively, the transposes and
+ * the forks then run on the pool too (matmulThreadedPooled()).
  */
 template <class M>
 void
@@ -566,6 +643,12 @@ matmulThreaded(const Matrix &a, const Matrix &b, Matrix &c,
                threads::LocalityScheduler &scheduler, M &model,
                unsigned workers = 1)
 {
+    if constexpr (std::is_same_v<M, NativeModel>) {
+        if (workers > 1) {
+            matmulThreadedPooled(a, b, c, scheduler, model, workers);
+            return;
+        }
+    }
     const std::size_t n = a.rows();
     Matrix at(n, n);
     transpose(a, at, model);
