@@ -3,20 +3,19 @@
  * Ablation: where one native threaded matmul iteration spends its
  * time, with the fork phase on the caller or on the pool.
  *
- * Both sides run the steps of workloads::matmulThreaded with
- * workers > 1 on the same matrices and scheduler settings (dims 2,
- * block = L2 / 2), with a wall-clock reading between steps:
+ * Both sides run the phases of workloads::matmulThreadedPooled() on
+ * the same matrices and scheduler settings (dims 2, block = L2 / 2),
+ * through the same stripe functions, with a wall-clock reading
+ * between phases. Only the worker count of the two forkParallel()
+ * calls differs; the tour is runParallel(--workers) on both sides:
  *
- *  - caller: transpose A, fork the n² dot products through fork(),
- *    runParallel(), transpose back — the whole iteration but the tour
- *    on the calling thread;
- *  - pool: forkParallel() transposes A by 32-row stripes and forks
- *    each stripe's dot products, runParallel(), and a second
- *    forkParallel() transposes back by column stripes of the result
- *    (what matmulThreaded runs natively with workers > 1).
+ *  - caller: forkParallel(1, ...) runs every stripe's transpose and
+ *    forks, then every restore stripe, in order on the caller;
+ *  - pool: forkParallel(--workers, ...) runs them on the pool (what
+ *    matmulThreaded runs natively with workers > 1).
  *
  * Each side reports every phase's median over --iters iterations
- * after two warm-ups; --side=both alternates the sides per iteration.
+ * after two warm-ups; the sides alternate per iteration.
  */
 
 #include <algorithm>
@@ -50,47 +49,15 @@ struct Phases
     double free = 0;
 };
 
+/** One iteration whose forkParallel() calls use @p forkWorkers and
+ *  whose tour uses @p workers. */
 Phases
-callerIteration(const Matrix &a, const Matrix &b, Matrix &c,
-                threads::LocalityScheduler &sched, unsigned workers)
+iteration(const Matrix &a, const Matrix &b, Matrix &c,
+          threads::LocalityScheduler &sched, unsigned forkWorkers,
+          unsigned workers)
 {
     const std::size_t n = a.rows();
-    NativeModel model;
-    Phases p;
-    WallTimer t;
-    auto at = std::make_unique<Matrix>(n, n);
-    p.allocAt = t.seconds();
-    t.reset();
-    workloads::transpose(a, *at, model);
-    workloads::DotProductCtx<NativeModel> ctx{at.get(), &b, &c, &model};
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            sched.fork(&workloads::dotProductThread<NativeModel>, &ctx,
-                       reinterpret_cast<void *>((i << 32) | j),
-                       threads::hintOf(at->col(i)),
-                       threads::hintOf(b.col(j)));
-    p.transposeFork = t.seconds();
-    t.reset();
-    sched.runParallel(workers, false);
-    p.run = t.seconds();
-    t.reset();
-    auto dummy = std::make_unique<Matrix>(n, n);
-    workloads::transpose(*at, *dummy, model);
-    p.restore = t.seconds();
-    t.reset();
-    dummy.reset();
-    at.reset();
-    p.free = t.seconds();
-    return p;
-}
-
-Phases
-poolIteration(const Matrix &a, const Matrix &b, Matrix &c,
-              threads::LocalityScheduler &sched, unsigned workers)
-{
-    const std::size_t n = a.rows();
-    const std::size_t tile = workloads::kTransposeTile;
-    const std::size_t stripes = (n + tile - 1) / tile;
+    const std::size_t stripes = workloads::transposeStripes(n);
     NativeModel model;
     Phases p;
     WallTimer t;
@@ -98,31 +65,20 @@ poolIteration(const Matrix &a, const Matrix &b, Matrix &c,
     p.allocAt = t.seconds();
     t.reset();
     workloads::DotProductCtx<NativeModel> ctx{at.get(), &b, &c, &model};
-    sched.forkParallel(
-        workers, stripes,
-        [&](std::size_t k, threads::ForkShard &shard) {
-            const std::size_t i0 = k * tile;
-            const std::size_t i1 = std::min(i0 + tile, n);
-            workloads::transposeRowsNative(a, *at, i0, i1);
-            for (std::size_t i = i0; i < i1; ++i)
-                for (std::size_t j = 0; j < n; ++j)
-                    shard.fork(
-                        &workloads::dotProductThread<NativeModel>, &ctx,
-                        reinterpret_cast<void *>((i << 32) | j),
-                        threads::hintOf(at->col(i)),
-                        threads::hintOf(b.col(j)));
-        });
+    sched.forkParallel(forkWorkers, stripes,
+                       [&](std::size_t k, threads::ForkShard &shard) {
+                           workloads::forkDotProductStripe(a, *at, ctx, k,
+                                                           shard);
+                       });
     p.transposeFork = t.seconds();
     t.reset();
     sched.runParallel(workers, false);
     p.run = t.seconds();
     t.reset();
     auto dummy = std::make_unique<Matrix>(n, n);
-    sched.forkParallel(workers, stripes,
+    sched.forkParallel(forkWorkers, stripes,
                        [&](std::size_t k, threads::ForkShard &) {
-                           const std::size_t i0 = k * tile;
-                           workloads::transposeRowsNative(
-                               *at, *dummy, i0, std::min(i0 + tile, n));
+                           workloads::transposeStripeNative(*at, *dummy, k);
                        });
     p.restore = t.seconds();
     t.reset();
@@ -151,12 +107,10 @@ struct Side
     }
 };
 
-/** Median of @p v in milliseconds, "-" for a side not run. */
+/** Median of @p v in milliseconds. */
 std::string
 ms(std::vector<double> v)
 {
-    if (v.empty())
-        return "-";
     std::sort(v.begin(), v.end());
     const std::size_t h = v.size() / 2;
     const double mid = v.size() % 2 ? v[h] : (v[h - 1] + v[h]) / 2;
@@ -174,20 +128,13 @@ main(int argc, char **argv)
     cli.addInt("n", 1024, "matrix order");
     cli.addInt("workers", 4, "pool workers (>= 2)");
     cli.addInt("iters", 20, "timed iterations per side");
-    cli.addString("side", "both", "caller, pool or both");
     bench::addOutputOptions(cli);
     cli.parse(argc, argv);
     const auto n = static_cast<std::size_t>(cli.getInt("n"));
     const auto workers = static_cast<unsigned>(cli.getInt("workers"));
     const auto iters = static_cast<int>(cli.getInt("iters"));
-    const std::string side = cli.getString("side");
     if (n < 1 || workers < 2 || iters < 1)
         LSCHED_FATAL("need --n >= 1, --workers >= 2, --iters >= 1");
-    if (side != "caller" && side != "pool" && side != "both")
-        LSCHED_FATAL("--side must be caller, pool or both, got '", side,
-                     "'");
-    const bool runCaller = side != "pool";
-    const bool runPool = side != "caller";
 
     Matrix a(n, n), b(n, n), c(n, n);
     workloads::randomize(a, 1);
@@ -215,15 +162,10 @@ main(int argc, char **argv)
         // the other's frees.
         for (int turn = 0; turn < 2; ++turn) {
             const bool poolTurn = (turn == 0) == (i % 2 != 0);
-            if (poolTurn && runPool) {
-                const Phases p = poolIteration(a, b, c, sched, workers);
-                if (i >= 0)
-                    pool.add(p);
-            } else if (!poolTurn && runCaller) {
-                const Phases p = callerIteration(a, b, c, sched, workers);
-                if (i >= 0)
-                    caller.add(p);
-            }
+            const Phases p =
+                iteration(a, b, c, sched, poolTurn ? workers : 1, workers);
+            if (i >= 0)
+                (poolTurn ? pool : caller).add(p);
         }
     }
 

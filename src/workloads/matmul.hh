@@ -27,9 +27,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "support/panic.hh"
 #include "support/prng.hh"
 #include "threads/hints.hh"
 #include "threads/scheduler.hh"
@@ -565,27 +565,60 @@ dotProductThread(void *ctx_p, void *ij_p)
     model.instructions(7 * n / 2 + 6 + kThreadOverheadInstr);
 }
 
+/** Stripes of kTransposeTile rows in an @p n-row matrix: the k range
+ *  of the native matmulThreaded()'s forkParallel() calls. */
+constexpr std::size_t
+transposeStripes(std::size_t n)
+{
+    return (n + kTransposeTile - 1) / kTransposeTile;
+}
+
 /**
- * Rows [i0, i1) of @p a into columns [i0, i1) of @p at, by the native
- * transpose()'s tile loop restricted to one row stripe.
+ * Rows [32k, 32k + 32) of @p a into the same columns of @p at, by the
+ * native transpose()'s tile loop restricted to that row stripe.
  */
 inline void
-transposeRowsNative(const Matrix &a, Matrix &at, std::size_t i0,
-                    std::size_t i1)
+transposeStripeNative(const Matrix &a, Matrix &at, std::size_t k)
 {
+    const std::size_t i0 = k * kTransposeTile;
+    const std::size_t i1 = std::min(i0 + kTransposeTile, a.rows());
     for (std::size_t jj = 0; jj < a.cols(); jj += kTransposeTile)
         transposeTileNative(a, at, i0, i1, jj,
                             std::min(jj + kTransposeTile, a.cols()));
 }
 
 /**
+ * Stripe @p k of the native matmulThreaded()'s fork phase: rows
+ * [32k, 32k + 32) of @p a into the same columns of @p at (which
+ * @p ctx reads as At), then the dot products of those rows of C forked
+ * through @p shard in the serial loop's order (i-major).
+ */
+inline void
+forkDotProductStripe(const Matrix &a, Matrix &at,
+                     DotProductCtx<NativeModel> &ctx, std::size_t k,
+                     threads::ForkShard &shard)
+{
+    transposeStripeNative(a, at, k);
+    const Matrix &b = *ctx.b;
+    const std::size_t n = a.rows();
+    const std::size_t i1 = std::min((k + 1) * kTransposeTile, n);
+    for (std::size_t i = k * kTransposeTile; i < i1; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const auto packed = reinterpret_cast<void *>((i << 32) | j);
+            shard.fork(&dotProductThread<NativeModel>, &ctx, packed,
+                       threads::hintOf(at.col(i)),
+                       threads::hintOf(b.col(j)));
+        }
+    }
+}
+
+/**
  * matmulThreaded() natively on @p workers > 1 pool workers: every
- * phase but the two allocations runs on the pool. One
- * forkParallel() call transposes A by 32-row stripes and forks each
- * stripe's dot products in the serial loop's order (i-major), so the
- * schedule is the serial one; runParallel() runs it; a second
- * forkParallel() call, forking nothing, runs the restore transpose by
- * column stripes of its result.
+ * phase but the two allocations runs on the pool. One forkParallel()
+ * call runs forkDotProductStripe() over A's row stripes, so the
+ * schedule is the serial fork loop's; runParallel() runs it; a second
+ * forkParallel() call, forking nothing, runs the restore transpose
+ * stripe by stripe.
  */
 inline void
 matmulThreadedPooled(const Matrix &a, const Matrix &b, Matrix &c,
@@ -593,35 +626,19 @@ matmulThreadedPooled(const Matrix &a, const Matrix &b, Matrix &c,
                      NativeModel &model, unsigned workers)
 {
     const std::size_t n = a.rows();
-    const std::size_t stripes = (n + kTransposeTile - 1) / kTransposeTile;
-    const auto stripe = [n](std::size_t k) {
-        return std::pair{k * kTransposeTile,
-                         std::min((k + 1) * kTransposeTile, n)};
-    };
+    const std::size_t stripes = transposeStripes(n);
     Matrix at(n, n);
     DotProductCtx<NativeModel> ctx{&at, &b, &c, &model};
-    scheduler.forkParallel(
-        workers, stripes,
-        [&](std::size_t k, threads::ForkShard &shard) {
-            const auto [i0, i1] = stripe(k);
-            transposeRowsNative(a, at, i0, i1);
-            for (std::size_t i = i0; i < i1; ++i) {
-                for (std::size_t j = 0; j < n; ++j) {
-                    const auto packed =
-                        reinterpret_cast<void *>((i << 32) | j);
-                    shard.fork(&dotProductThread<NativeModel>, &ctx,
-                               packed, threads::hintOf(at.col(i)),
-                               threads::hintOf(b.col(j)));
-                }
-            }
-        });
+    scheduler.forkParallel(workers, stripes,
+                           [&](std::size_t k, threads::ForkShard &shard) {
+                               forkDotProductStripe(a, at, ctx, k, shard);
+                           });
     scheduler.runParallel(workers, false);
 
     Matrix dummy(n, n);
     scheduler.forkParallel(workers, stripes,
                            [&](std::size_t k, threads::ForkShard &) {
-                               const auto [i0, i1] = stripe(k);
-                               transposeRowsNative(at, dummy, i0, i1);
+                               transposeStripeNative(at, dummy, k);
                            });
 }
 
@@ -631,11 +648,16 @@ matmulThreadedPooled(const Matrix &a, const Matrix &b, Matrix &c,
  * reads as hints, then run in bin order by @p scheduler. Includes
  * both transpose passes, as the paper's timings do.
  *
- * With @p workers > 1 the bin tour is distributed over that many OS
- * threads (Section 7's SMP extension). The model must then be
- * thread-safe: NativeModel is (it is stateless); SimModel is not, so
- * simulated runs must keep workers == 1. Natively, the transposes and
- * the forks then run on the pool too (matmulThreadedPooled()).
+ * Natively, @p workers > 1 spreads the transposes, the forks and the
+ * bin tour over that many OS threads (Section 7's SMP extension;
+ * matmulThreadedPooled()). Otherwise every phase runs on the caller.
+ * A modelled run records one reference stream, which a parallel phase
+ * would interleave, so it must keep workers <= 1.
+ *
+ * The one-worker native run keeps the whole transpose() before the
+ * fork loop: matmulThreadedPooled() with one worker builds the same
+ * schedule stripe by stripe, but measured slower in both transpose
+ * phases (EXPERIMENTS.md "The fork phase on the pool").
  */
 template <class M>
 void
@@ -648,6 +670,9 @@ matmulThreaded(const Matrix &a, const Matrix &b, Matrix &c,
             matmulThreadedPooled(a, b, c, scheduler, model, workers);
             return;
         }
+    } else {
+        LSCHED_ASSERT(workers <= 1, "a modelled matmulThreaded() runs on "
+                                    "one worker, got ", workers);
     }
     const std::size_t n = a.rows();
     Matrix at(n, n);
@@ -664,10 +689,7 @@ matmulThreaded(const Matrix &a, const Matrix &b, Matrix &c,
                            threads::hintOf(b.col(j)));
         }
     }
-    if (workers > 1)
-        scheduler.runParallel(workers, false);
-    else
-        scheduler.run(false);
+    scheduler.run(false);
 
     Matrix dummy(n, n);
     transpose(at, dummy, model);
