@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "cachesim/cache.hh"
 #include "cachesim/fully_assoc.hh"
 #include "cachesim/hierarchy.hh"
@@ -135,43 +138,76 @@ BM_HierarchyLoad(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchyLoad);
 
+/** Doubles per column in the dot-product benchmarks (n = 256). */
+constexpr std::uint64_t kDotN = 256;
+
+/**
+ * Column base addresses of dot product number @p dot in the threaded
+ * matmul's order as sim_matmul simulates it: 2 KB columns of At and B,
+ * dot products in 32 x 32-column tiles, the order a 64 KB block size
+ * gives the bin tour.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+dotColumns(std::uint64_t dot)
+{
+    constexpr std::uint64_t kColBytes = kDotN * 8;
+    constexpr std::uint64_t kTile = 32;
+    constexpr std::uint64_t kAt = 0x10000000;
+    constexpr std::uint64_t kB = 0x20000000;
+    const std::uint64_t tile = dot / (kTile * kTile);
+    const std::uint64_t in = dot % (kTile * kTile);
+    const std::uint64_t i =
+        (tile / (kDotN / kTile)) % (kDotN / kTile) * kTile + in / kTile;
+    const std::uint64_t j = tile % (kDotN / kTile) * kTile + in % kTile;
+    return {kAt + i * kColBytes, kB + j * kColBytes};
+}
+
 /**
  * The threaded matmul's reference stream as sim_matmul simulates it:
- * each dot product interleaves loads from two 2 KB columns (n = 256
- * doubles), on the R8000 scaled 16x with the L2's three-C
- * classification on. Dot products run in 32 x 32-column tiles, the
- * order a 64 KB block size gives the bin tour. One item is one load.
+ * each dot product interleaves loads from two columns (dotColumns()),
+ * on the R8000 scaled 16x with the L2's three-C classification on,
+ * one load() per reference. One item is one load.
  */
 void
 BM_HierarchyDotPattern(benchmark::State &state)
 {
-    constexpr std::uint64_t kN = 256;
-    constexpr std::uint64_t kColBytes = kN * 8;
-    constexpr std::uint64_t kTile = 32;
-    constexpr std::uint64_t kAt = 0x10000000;
-    constexpr std::uint64_t kB = 0x20000000;
     cachesim::Hierarchy h(
         machine::scaled(machine::powerIndigo2R8000(), 16).caches);
     std::uint64_t dot = 0;
     for (auto _ : state) {
-        const std::uint64_t tile = dot / (kTile * kTile);
-        const std::uint64_t in = dot % (kTile * kTile);
-        const std::uint64_t i = (tile / (kN / kTile)) % (kN / kTile) *
-                                    kTile + in / kTile;
-        const std::uint64_t j = tile % (kN / kTile) * kTile + in % kTile;
-        const std::uint64_t a = kAt + i * kColBytes;
-        const std::uint64_t b = kB + j * kColBytes;
-        for (std::uint64_t k = 0; k < kColBytes; k += 8) {
+        const auto [a, b] = dotColumns(dot++);
+        for (std::uint64_t k = 0; k < kDotN * 8; k += 8) {
             h.load(a + k, 8);
             h.load(b + k, 8);
         }
-        ++dot;
     }
     benchmark::DoNotOptimize(h.l2Stats().misses);
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * 2 * kN));
+        static_cast<std::int64_t>(state.iterations() * 2 * kDotN));
 }
 BENCHMARK(BM_HierarchyDotPattern);
+
+/**
+ * BM_HierarchyDotPattern's loads taken as the dot kernel passes them
+ * to a SimModel: one Hierarchy::loadPairs() call per 16 elements. One
+ * item is one load, so the two benchmarks' times per item compare.
+ */
+void
+BM_HierarchyDotPairs(benchmark::State &state)
+{
+    cachesim::Hierarchy h(
+        machine::scaled(machine::powerIndigo2R8000(), 16).caches);
+    std::uint64_t dot = 0;
+    for (auto _ : state) {
+        const auto [a, b] = dotColumns(dot++);
+        for (std::uint64_t k = 0; k < kDotN * 8; k += 16 * 8)
+            h.loadPairs(a + k, b + k, 8, 16);
+    }
+    benchmark::DoNotOptimize(h.l2Stats().misses);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * 2 * kDotN));
+}
+BENCHMARK(BM_HierarchyDotPairs);
 
 /**
  * One native 1,024-element dot product through the Threaded thread

@@ -151,6 +151,7 @@ Cache::reset()
     std::fill(tags_.begin(), tags_.end(), kInvalid);
     std::fill(dirty_.begin(), dirty_.end(), 0);
     stats_ = CacheStats{};
+    victimPrng_ = Prng(kVictimSeed);
     if (classifier_)
         classifier_->clear();
 }

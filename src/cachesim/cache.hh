@@ -98,14 +98,30 @@ class Cache
     /** Accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
 
+    /**
+     * Count @p accesses more accesses, @p misses of them misses, and
+     * change nothing else: for repeats a caller has proven leave the
+     * cache as they found it (Hierarchy::loadPairs()).
+     */
+    void
+    countRepeats(std::uint64_t accesses, std::uint64_t misses)
+    {
+        stats_.accesses += accesses;
+        stats_.misses += misses;
+    }
+
     /** Geometry. */
     const CacheConfig &config() const { return config_; }
 
-    /** Invalidate all lines and zero the statistics. */
+    /**
+     * Invalidate all lines, zero the statistics and reseed the Random
+     * victim choice: the cache then replays any stream as a new one.
+     */
     void reset();
 
   private:
     static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+    static constexpr std::uint64_t kVictimSeed = 0xCACEull;
 
     void installAt(std::uint64_t set, unsigned way,
                    std::uint64_t line_addr, bool dirty, Result &res);
@@ -122,7 +138,7 @@ class Cache
 
     CacheStats stats_;
     std::unique_ptr<MissClassifier> classifier_;
-    Prng victimPrng_{0xCACEull};
+    Prng victimPrng_{kVictimSeed};
 };
 
 } // namespace lsched::cachesim

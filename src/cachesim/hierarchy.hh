@@ -18,6 +18,9 @@
  * Hot path: a reference inside one L1 line first tries the inline
  * Cache::hitMru(), which settles the common way-0 hit without a call;
  * everything else takes accessThrough(). Both paths count the same.
+ * loadPairs() runs a dot product's alternating loads through that
+ * path until the state repeats pair after pair, then adds the rest's
+ * counts at once (DESIGN.md §6).
  */
 
 #ifndef LSCHED_CACHESIM_HIERARCHY_HH
@@ -88,6 +91,14 @@ class Hierarchy
     }
 
     /**
+     * Simulate @p count pairs of data loads of @p bytes each: by
+     * definition load(x + k * bytes) then load(y + k * bytes) for
+     * k = 0, 1, ..., count - 1, with the same counts and final state.
+     */
+    void loadPairs(std::uint64_t x, std::uint64_t y, std::uint64_t bytes,
+                   std::uint64_t count);
+
+    /**
      * Account for @p n instruction fetches without simulating them.
      * Used by the synthetic instruction-fetch model: loop bodies are
      * L1I-resident, so only the analytic count matters (see
@@ -135,7 +146,11 @@ class Hierarchy
     Cache &l1d() { return l1d_; }
     Cache &l2() { return l2_; }
 
-    /** Invalidate everything and zero all statistics. */
+    /**
+     * Invalidate everything, zero all statistics and reseed the Random
+     * replacement and page-map choices: the hierarchy then counts any
+     * stream exactly as a new one would.
+     */
     void reset();
 
     /**
@@ -166,6 +181,16 @@ class Hierarchy
             accessThrough(l1, line, is_write);
     }
 
+    /** A load of L1D line @p l1_line alone, as reference() does it. */
+    void
+    loadLine(std::uint64_t l1_line)
+    {
+        if (!l1d_.hitMru(l1_line, false))
+            accessThrough(l1d_, l1_line, false);
+    }
+
+    void loadLinePairs(std::uint64_t x_line, std::uint64_t y_line,
+                       std::uint64_t pairs);
     void accessThrough(Cache &l1, std::uint64_t l1_line, bool is_write);
     std::uint64_t l2LineOf(std::uint64_t l1_line, unsigned l1_shift);
 
@@ -176,6 +201,10 @@ class Hierarchy
     unsigned l1dToL2Shift_;
     PageMap pageMap_;
     bool translate_ = false;
+    /** The L1D is one way, not Random and unclassified: a pair of
+     *  same-set misses may repeat (loadLinePairs()). */
+    bool missPairsRepeat_;
+    std::uint64_t l1dSetMask_;
     std::uint64_t ifetches_ = 0;
     std::uint64_t dataRefs_ = 0;
 };

@@ -65,7 +65,7 @@ class PageMap
                      std::uint64_t colors = 1,
                      std::uint64_t seed = 0x9a9e)
         : policy_(policy), pageBytes_(page_bytes), colors_(colors),
-          prng_(seed)
+          seed_(seed), prng_(seed)
     {
         LSCHED_ASSERT(isPowerOfTwo(page_bytes),
                       "page size must be a power of two");
@@ -94,12 +94,13 @@ class PageMap
     /** The policy in force. */
     PageMapPolicy policy() const { return policy_; }
 
-    /** Drop all translations (fresh address space). */
+    /** Drop all translations and reseed (fresh address space). */
     void
     clear()
     {
         table_.clear();
         nextFrame_ = 0;
+        prng_ = Prng(seed_);
     }
 
   private:
@@ -133,6 +134,7 @@ class PageMap
     std::uint64_t pageBytes_;
     std::uint64_t colors_;
     unsigned pageShift_ = 12;
+    std::uint64_t seed_;
     Prng prng_;
     std::unordered_map<std::uint64_t, std::uint64_t> table_;
     std::uint64_t nextFrame_ = 0;

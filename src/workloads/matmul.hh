@@ -147,7 +147,9 @@ transpose(const Matrix &a, Matrix &at, M &model)
  *
  * Each element issues model.load(&x[k]) then model.load(&y[k]) for k
  * ascending, exactly as a one-accumulator loop would, so traced runs
- * see the same reference stream. Instruction charges stay with the
+ * see the same reference stream; each 16-element step passes its 16
+ * pairs to the model in one loadPairs() call, which a SimModel
+ * simulates a line pair at a time. Instruction charges stay with the
  * caller. Always inlined: into the caller for a traced model, into the
  * three native instantiations below for NativeModel.
  */
@@ -160,10 +162,7 @@ dotProductBody(const double *x, const double *y, std::size_t n, M &model)
            s15 = 0;
     std::size_t k = 0;
     for (; k + 16 <= n; k += 16) {
-        for (std::size_t u = 0; u < 16; ++u) {
-            model.load(&x[k + u], 8);
-            model.load(&y[k + u], 8);
-        }
+        loadPairs(model, &x[k], &y[k], 8, 16);
         s0 += x[k] * y[k];
         s1 += x[k + 1] * y[k + 1];
         s2 += x[k + 2] * y[k + 2];

@@ -8,11 +8,16 @@
  * of Pixie + DineroIII, forwarding each load/store to the simulated
  * hierarchy and accounting instructions through the synthetic
  * instruction-fetch model (see trace/synth_ifetch.hh).
+ *
+ * A model may also take a run of load pairs in one call (loadPairs());
+ * kernels reach it through the free loadPairs() below, which expands
+ * it into single loads for a model without one.
  */
 
 #ifndef LSCHED_WORKLOADS_MEMMODEL_HH
 #define LSCHED_WORKLOADS_MEMMODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "cachesim/hierarchy.hh"
@@ -34,6 +39,7 @@ struct NativeModel
     static constexpr bool traced = false;
 
     void load(const void *, std::uint32_t) {}
+    void loadPairs(const void *, const void *, std::uint32_t, std::size_t) {}
     void store(const void *, std::uint32_t) {}
     /** Account @p n executed instructions. */
     void instructions(std::uint64_t) {}
@@ -63,6 +69,15 @@ class SimModel
     load(const void *p, std::uint32_t bytes)
     {
         hierarchy_->load(reinterpret_cast<std::uintptr_t>(p), bytes);
+    }
+
+    void
+    loadPairs(const void *x, const void *y, std::uint32_t bytes,
+              std::size_t count)
+    {
+        hierarchy_->loadPairs(reinterpret_cast<std::uintptr_t>(x),
+                              reinterpret_cast<std::uintptr_t>(y), bytes,
+                              count);
     }
 
     void
@@ -103,6 +118,28 @@ class SimModel
     unsigned kernelId_ = ~0u;
     bool entered_ = false;
 };
+
+/**
+ * Load @p bytes at x + k * bytes, then at y + k * bytes, for k = 0, 1,
+ * ..., @p count - 1: through @p model's own loadPairs() when it has
+ * one, otherwise as that many pairs of model.load() calls.
+ */
+template <class M>
+[[gnu::always_inline]] inline void
+loadPairs(M &model, const void *x, const void *y, std::uint32_t bytes,
+          std::size_t count)
+{
+    if constexpr (requires { model.loadPairs(x, y, bytes, count); }) {
+        model.loadPairs(x, y, bytes, count);
+    } else {
+        const auto *const xb = static_cast<const char *>(x);
+        const auto *const yb = static_cast<const char *>(y);
+        for (std::size_t k = 0; k < count; ++k) {
+            model.load(xb + k * bytes, bytes);
+            model.load(yb + k * bytes, bytes);
+        }
+    }
+}
 
 } // namespace lsched::workloads
 

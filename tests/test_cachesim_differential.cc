@@ -24,12 +24,14 @@
 #include "cachesim/fully_assoc.hh"
 #include "cachesim/hierarchy.hh"
 #include "cachesim/page_map.hh"
+#include "cachesim_counts_check.hh"
 #include "support/prng.hh"
 
 namespace
 {
 
 using namespace lsched::cachesim;
+using lsched::cachesim::countscheck::expectSameStats;
 using lsched::Prng;
 
 /** One cache level, written for obviousness rather than speed. */
@@ -242,18 +244,6 @@ class RefHierarchy
 
     std::uint64_t l1iLine_, l1dLine_, l2Line_;
 };
-
-void
-expectSameStats(const CacheStats &got, const CacheStats &want,
-                const std::string &level)
-{
-    EXPECT_EQ(got.accesses, want.accesses) << level;
-    EXPECT_EQ(got.misses, want.misses) << level;
-    EXPECT_EQ(got.writebacks, want.writebacks) << level;
-    EXPECT_EQ(got.compulsoryMisses, want.compulsoryMisses) << level;
-    EXPECT_EQ(got.capacityMisses, want.capacityMisses) << level;
-    EXPECT_EQ(got.conflictMisses, want.conflictMisses) << level;
-}
 
 void
 expectSame(const Hierarchy &h, const RefHierarchy &r)

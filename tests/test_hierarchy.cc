@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "cachesim/hierarchy.hh"
+#include "cachesim_counts_check.hh"
+#include "support/prng.hh"
 
 namespace
 {
 
 using lsched::cachesim::Hierarchy;
 using lsched::cachesim::HierarchyConfig;
+using lsched::cachesim::PageMapPolicy;
+using lsched::cachesim::Replacement;
+using lsched::cachesim::countscheck::expectSameCounts;
 
 HierarchyConfig
 tinyConfig()
@@ -133,6 +138,47 @@ TEST(Hierarchy, ResetZeroesEverything)
     EXPECT_EQ(h.l1dStats().accesses, 0u);
     EXPECT_EQ(h.l2Stats().accesses, 0u);
     EXPECT_TRUE(h.l1d().accessLine(0, false).miss);
+}
+
+/** Seeded loads and stores over eight times the L2 of tinyConfig(). */
+void
+replayStream(Hierarchy &h)
+{
+    lsched::Prng prng(29);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t addr = prng.nextBelow(64 * 1024);
+        if (prng.nextBelow(4) == 0)
+            h.store(addr, 8);
+        else
+            h.load(addr, 8);
+    }
+}
+
+// reset() must leave the hierarchy as construction does, including the
+// Random victim choice and the page map's frame choice: a stream
+// replayed after reset() counts exactly what it counts fresh.
+TEST(Hierarchy, ResetReplaysLikeFresh)
+{
+    for (const PageMapPolicy map :
+         {PageMapPolicy::Identity, PageMapPolicy::Random,
+          PageMapPolicy::FirstTouch, PageMapPolicy::Colored}) {
+        SCOPED_TRACE(static_cast<int>(map));
+        HierarchyConfig c = tinyConfig();
+        c.l1d = {"L1D", 1024, 32, 4, Replacement::Random};
+        c.l2 = {"L2", 8192, 128, 4, Replacement::Random};
+        c.classifyL1 = true;
+        c.l2PageMap = map;
+        c.pageBytes = 512;
+        Hierarchy fresh(c);
+        replayStream(fresh);
+        Hierarchy again(c);
+        replayStream(again);
+        again.reset();
+        replayStream(again);
+        EXPECT_EQ(again.pageMap().mappedPages(),
+                  fresh.pageMap().mappedPages());
+        expectSameCounts(again, fresh);
+    }
 }
 
 // A zero-byte reference counts as a one-byte reference: it touches

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cachesim/hierarchy.hh"
+#include "cachesim_counts_check.hh"
 #include "machine/machine_config.hh"
 #include "workloads/matmul.hh"
 
@@ -462,6 +463,119 @@ TEST(MatmulTraced, ThreadedTracedResultsMatchNative)
     matmulThreaded(a, b, c_traced, traced_sched, sm);
     EXPECT_EQ(c_traced.maxAbsDiff(c_native), 0.0);
     EXPECT_GT(h.dataRefs(), 2 * n * n * n);
+}
+
+/** SimModel without loadPairs(): each load pair goes as two load()s. */
+struct LoadOnlySimModel
+{
+    void load(const void *p, std::uint32_t bytes) { sim.load(p, bytes); }
+    void store(const void *p, std::uint32_t bytes) { sim.store(p, bytes); }
+    void instructions(std::uint64_t n) { sim.instructions(n); }
+    void enterKernel(unsigned id) { sim.enterKernel(id); }
+
+    SimModel sim;
+};
+
+/** Whether loadPairs(model, ...) reaches M's own loadPairs(). */
+template <class M>
+concept TakesLoadPairs = requires(M &m, const void *p) {
+    m.loadPairs(p, p, 8u, std::size_t{16});
+};
+static_assert(TakesLoadPairs<SimModel>);
+static_assert(TakesLoadPairs<NativeModel>);
+static_assert(!TakesLoadPairs<LoadOnlySimModel>);
+static_assert(!TakesLoadPairs<RecordingModel>);
+
+/**
+ * One kernel run drives two hierarchies, so both see the same
+ * addresses: SimModel's, which takes each dot product's load pairs in
+ * loadPairs() calls, and LoadOnlySimModel's, which takes them one
+ * load() at a time.
+ */
+struct PairedModels
+{
+    void
+    load(const void *p, std::uint32_t bytes)
+    {
+        pairs.load(p, bytes);
+        refs.load(p, bytes);
+    }
+    void
+    loadPairs(const void *x, const void *y, std::uint32_t bytes,
+              std::size_t count)
+    {
+        pairs.loadPairs(x, y, bytes, count);
+        lsched::workloads::loadPairs(refs, x, y, bytes, count);
+    }
+    void
+    store(const void *p, std::uint32_t bytes)
+    {
+        pairs.store(p, bytes);
+        refs.store(p, bytes);
+    }
+    void
+    instructions(std::uint64_t n)
+    {
+        pairs.instructions(n);
+        refs.instructions(n);
+    }
+    void
+    enterKernel(unsigned id)
+    {
+        pairs.enterKernel(id);
+        refs.enterKernel(id);
+    }
+
+    SimModel pairs;
+    LoadOnlySimModel refs;
+};
+
+/**
+ * The three kernels built on the dot product count exactly what they
+ * count with one load() per reference, on a direct-mapped L1 (the
+ * R8000 scaled 16x, where x and y often share a set) and a two-way
+ * one (the R10000), at sizes below, at and around the dot kernel's
+ * 16-element step and across several tiles.
+ */
+TEST(MatmulTraced, LoadPairsCountLikeSingleLoads)
+{
+    using lsched::cachesim::Hierarchy;
+    const lsched::machine::MachineConfig machines[] = {
+        lsched::machine::scaled(lsched::machine::powerIndigo2R8000(), 16),
+        lsched::machine::indigo2ImpactR10000()};
+    for (const auto &machine : machines) {
+        for (const std::size_t n : {1u, 15u, 16u, 17u, 33u, 100u}) {
+            Matrix a(n, n), b(n, n), c(n, n);
+            randomize(a, 3);
+            randomize(b, 4);
+            for (int kernel = 0; kernel < 3; ++kernel) {
+                SCOPED_TRACE(::testing::Message()
+                             << machine.name << " n=" << n << " kernel "
+                             << kernel);
+                Hierarchy h_pairs(machine.caches);
+                Hierarchy h_refs(machine.caches);
+                PairedModels m{SimModel(h_pairs),
+                               LoadOnlySimModel{SimModel(h_refs)}};
+                if (kernel == 0) {
+                    lsched::threads::SchedulerConfig cfg;
+                    cfg.dims = 2;
+                    cfg.cacheBytes = machine.l2Size();
+                    cfg.blockBytes = machine.l2Size() / 2;
+                    lsched::threads::LocalityScheduler sched(cfg);
+                    matmulThreaded(a, b, c, sched, m);
+                } else if (kernel == 1) {
+                    matmulTransposed(a, b, c, m);
+                } else {
+                    matmulTiledTransposed(a, b, c, m,
+                                          machine.caches.l1d.sizeBytes,
+                                          machine.caches.l2.sizeBytes);
+                }
+                EXPECT_GT(h_refs.dataRefs(), n * n * n / 2);
+                lsched::cachesim::countscheck::expectSameCounts(h_pairs,
+                                                                h_refs);
+            }
+        }
+    }
 }
 
 TEST(MatmulTraced, InterchangedReferenceCountsMatchModel)
